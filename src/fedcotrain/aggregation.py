@@ -1,12 +1,19 @@
 """Thresholded pseudolabel voting and per-participant bundle assembly.
 
-For each category the coordinator counts, at every public-dataset index, how
-many participants voted that category, and admits the index when the vote
-fraction among the category's owners strictly exceeds the threshold ``alpha``.
-The strict inequality means ``alpha=0`` admits any index with a single vote
-and ``alpha=1`` admits nothing. The weighted variant replaces both counts with
-sums of per-participant credibility weights; unit weights reproduce the
-unweighted result exactly.
+For each category the coordinator sums, at every public-dataset index, the
+credibility weights of the participants that voted that category, and admits
+the index when that mass, as a fraction of the total weight of the
+category's owners, strictly exceeds the threshold ``alpha``. The strict
+inequality means ``alpha=0`` admits any index with a single vote and
+``alpha=1`` admits nothing. The unweighted vote is the unit-weight call:
+sums of 1.0 are exact vote and owner counts.
+
+One kernel does the vote. It maps every vote to its category's position in
+the sorted union of label spaces and sums weights with one ``np.bincount``
+per chunk of public indices. A chunk holds about ``VOTE_CHUNK_CELLS``
+(category, index) cells, so the vote's scratch memory does not grow with
+the public dataset size. Every bin sums in participant order, which keeps
+float results reproducible.
 
 A participant's bundle is the restriction of the admitted index sets to its
 own label space, with any index claimed by two or more of those sets dropped
@@ -98,9 +105,20 @@ class CredibilityWeights:
         return cls(values=(1.0,) * n)
 
 
+# Cells (categories x public indices) the vote sums at once. Its scratch
+# memory scales with this constant and the participant count, never with the
+# public dataset size.
+VOTE_CHUNK_CELLS = 2 ** 18
+
+
 def _validate_votes(predictions: Sequence[np.ndarray],
                     label_spaces: Sequence[LabelSpace],
-                    alpha: float, size: int) -> np.ndarray:
+                    alpha: float, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check the votes and map them to dense category positions.
+
+    Returns the sorted category union, the N x C ownership mask and the
+    N x U matrix of each vote's position in the union.
+    """
     if len(predictions) != len(label_spaces):
         raise AggregationError(
             f"{len(predictions)} prediction vectors for {len(label_spaces)} label spaces"
@@ -111,20 +129,26 @@ def _validate_votes(predictions: Sequence[np.ndarray],
         raise AggregationError(f"alpha must lie in [0, 1], got {alpha}")
     if size < 1:
         raise AggregationError("public dataset size must be >= 1")
-    rows = []
-    for i, (vector, space) in enumerate(zip(predictions, label_spaces)):
+    union = np.array(category_union(label_spaces), dtype=np.int64)
+    owned = np.zeros((len(label_spaces), len(union)), dtype=bool)
+    for i, space in enumerate(label_spaces):
+        owned[i, np.searchsorted(union, np.fromiter(space, dtype=np.int64))] = True
+    dense = np.empty((len(predictions), size), dtype=np.int32)
+    for i, vector in enumerate(predictions):
         row = np.asarray(vector, dtype=np.int64)
         if row.ndim != 1 or len(row) != size:
             raise AggregationError(
                 f"participant {i}: prediction vector length {row.shape} != {size}"
             )
-        if not np.isin(row, np.fromiter(space, dtype=np.int64)).all():
-            bad = row[~np.isin(row, np.fromiter(space, dtype=np.int64))][0]
+        pos = np.minimum(np.searchsorted(union, row), len(union) - 1)
+        valid = (union[pos] == row) & owned[i, pos]
+        if not valid.all():
+            bad = row[np.argmin(valid)]
             raise AggregationError(
                 f"participant {i}: predicted category {bad} outside declared label space"
             )
-        rows.append(row)
-    return np.vstack(rows)
+        dense[i] = pos
+    return union, owned, dense
 
 
 def category_union(label_spaces: Sequence[LabelSpace]) -> list[int]:
@@ -141,16 +165,11 @@ def aggregate(predictions: Sequence[np.ndarray], label_spaces: Sequence[LabelSpa
     Returns one PseudolabelSet per category in the union of the label spaces
     (possibly empty). An index is admitted for a category when
     votes / owners > alpha, with owners counting every participant whose
-    space contains the category.
+    space contains the category. This is the unit-weight weighted vote.
     """
-    matrix = _validate_votes(predictions, label_spaces, alpha, size)
-    result: dict[int, PseudolabelSet] = {}
-    for category in category_union(label_spaces):
-        owners = sum(1 for space in label_spaces if category in space)
-        votes = (matrix == category).sum(axis=0)
-        admitted = np.flatnonzero(votes / owners > alpha)
-        result[category] = PseudolabelSet(category, tuple(admitted.tolist()))
-    return result
+    # At least one weight, so an empty federation fails in the vote's own check.
+    unit = CredibilityWeights.uniform(max(len(label_spaces), 1))
+    return aggregate_weighted(predictions, label_spaces, unit, alpha, size)
 
 
 def aggregate_weighted(predictions: Sequence[np.ndarray],
@@ -162,43 +181,58 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
     A zero-weight participant still counts as an owner but contributes no vote
     mass; a category whose owners all have zero weight is rejected.
     """
-    matrix = _validate_votes(predictions, label_spaces, alpha, size)
+    union, owned, dense = _validate_votes(predictions, label_spaces, alpha, size)
     if len(weights) != len(label_spaces):
         raise AggregationError(
             f"{len(weights)} weights for {len(label_spaces)} participants"
         )
-    values = weights.values
-    result: dict[int, PseudolabelSet] = {}
-    for category in category_union(label_spaces):
-        # Sequential accumulation in participant order keeps float sums
-        # reproducible regardless of how callers parallelize around this.
-        total = 0.0
-        for i, space in enumerate(label_spaces):
-            if category in space:
-                total += values[i]
-        if total == 0.0:
-            raise AggregationError(
-                f"category {category}: every owner has zero credibility weight"
-            )
-        mass = np.zeros(size, dtype=np.float64)
-        for i in range(len(label_spaces)):
-            mass += values[i] * (matrix[i] == category)
-        admitted = np.flatnonzero(mass / total > alpha)
-        result[category] = PseudolabelSet(category, tuple(admitted.tolist()))
-    return result
+    values = np.asarray(weights.values, dtype=np.float64)
+    # Every sum runs in participant order, so float totals are reproducible
+    # regardless of how callers parallelize around this.
+    totals = np.zeros(len(union))
+    for value, owns in zip(values, owned):
+        totals += value * owns
+    unweighted = np.flatnonzero(totals == 0.0)
+    if len(unweighted):
+        raise AggregationError(
+            f"category {union[unweighted[0]]}: every owner has zero credibility weight"
+        )
+    n_cat = len(union)
+    width = max(1, VOTE_CHUNK_CELLS // n_cat)
+    hit_cats, hit_indices = [], []
+    for lo in range(0, size, width):
+        block = dense[:, lo:lo + width]
+        span = block.shape[1]
+        # Participant-major cells: bincount adds in input order, so each
+        # (category, index) bin sums its voters' weights in participant order.
+        cells = (block * span + np.arange(span)).ravel()
+        mass = np.bincount(cells, weights=np.repeat(values, span), minlength=n_cat * span)
+        cats, cols = np.nonzero(mass.reshape(n_cat, span) / totals[:, None] > alpha)
+        hit_cats.append(cats)
+        hit_indices.append(cols + lo)
+    cats = np.concatenate(hit_cats)
+    # A stable sort by category keeps each category's indices ascending.
+    order = np.argsort(cats, kind="stable")
+    per_category = np.split(np.concatenate(hit_indices)[order],
+                            np.cumsum(np.bincount(cats, minlength=n_cat))[:-1])
+    return {c: PseudolabelSet(c, tuple(indices.tolist()))
+            for c, indices in zip(union.tolist(), per_category)}
+
+
+def _drop_conflicts(entries: Sequence[PseudolabelSet]) -> list[PseudolabelSet]:
+    """Drop every index claimed by two or more of the sets from all of them."""
+    counts = Counter()
+    for entry in entries:
+        counts.update(entry.indices)
+    conflicted = {i for i, c in counts.items() if c >= 2}
+    return [PseudolabelSet(e.category, tuple(i for i in e.indices if i not in conflicted))
+            for e in entries]
 
 
 def remove_global_conflicts(
         pseudo_sets: Mapping[int, PseudolabelSet]) -> dict[int, PseudolabelSet]:
     """Drop every index claimed by two or more categories, across all sets."""
-    counts = Counter()
-    for entry in pseudo_sets.values():
-        counts.update(entry.indices)
-    conflicted = {i for i, c in counts.items() if c >= 2}
-    return {
-        c: PseudolabelSet(c, tuple(i for i in s.indices if i not in conflicted))
-        for c, s in pseudo_sets.items()
-    }
+    return dict(zip(pseudo_sets, _drop_conflicts(list(pseudo_sets.values()))))
 
 
 def build_bundle(pseudo_sets: Mapping[int, PseudolabelSet], label_space: LabelSpace,
@@ -209,16 +243,6 @@ def build_bundle(pseudo_sets: Mapping[int, PseudolabelSet], label_space: LabelSp
     with a category outside ``label_space`` is kept, because the owner never
     sees that competing claim.
     """
-    restricted = []
-    for category in sorted(label_space):
-        entry = pseudo_sets.get(category)
-        restricted.append(entry if entry is not None else PseudolabelSet(category, ()))
-    counts = Counter()
-    for entry in restricted:
-        counts.update(entry.indices)
-    conflicted = {i for i, c in counts.items() if c >= 2}
-    entries = tuple(
-        PseudolabelSet(e.category, tuple(i for i in e.indices if i not in conflicted))
-        for e in restricted
-    )
-    return PseudolabelBundle(owner=owner, entries=entries)
+    restricted = [pseudo_sets.get(category, PseudolabelSet(category, ()))
+                  for category in sorted(label_space)]
+    return PseudolabelBundle(owner=owner, entries=tuple(_drop_conflicts(restricted)))

@@ -38,17 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import (
-    CredibilityWeights,
-    PseudolabelBundle,
-    PseudolabelSet,
-    aggregate,
-    aggregate_weighted,
-    build_bundle,
-    remove_global_conflicts,
-)
+from .aggregation import CredibilityWeights, PseudolabelBundle, PseudolabelSet
+# Unused here (coordinate() votes); kept as attributes the benchmark tracer wraps.
+from .aggregation import aggregate, aggregate_weighted, build_bundle, remove_global_conflicts
 from .domain import LabeledDataset, LabelSpace, UnlabeledDataset
 from .learners import TrainConfig, evaluate, pseudolabel, train_local, update_train
+from .orchestrator import coordinate
 
 PROTOCOL_VERSION = 1
 DEFAULT_MAX_LINE = 64 * 2 ** 20
@@ -62,9 +57,9 @@ class ProtocolError(RuntimeError):
 
 # Strict payload schemas: field name -> validator. Unknown fields are
 # rejected, so a schema pass proves a message carries only ids, indices,
-# sizes, and text - never feature vectors.
+# sizes, and text - never feature vectors. Integers must fit in int64.
 def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, int) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
 
 
 def _is_int_list(v):
@@ -122,7 +117,7 @@ def validate_message(doc) -> Message:
         )
     for name, check in schema.items():
         if not check(payload[name]):
-            raise ProtocolError(f"{kind} payload field {name!r} has the wrong type")
+            raise ProtocolError(f"{kind} payload field {name!r} has the wrong type or range")
     return Message(kind=kind, payload=payload, v=doc["v"])
 
 
@@ -247,29 +242,32 @@ class Coordinator:
         self.address = self.listener.getsockname()[:2]
         return self.address
 
-    def _abort(self, reason: str):
+    def _record_abort(self, reason: str):
         with self._lock:
             if self._abort_reason is None:
                 self._abort_reason = reason
+
+    def _abort(self, reason: str):
+        self._record_abort(reason)
         self._barrier.abort()
 
     def _aggregate_once(self):
         # barrier action: runs exactly once, in whichever thread trips last,
         # after all N prediction vectors are in
-        spaces = [self._spaces[i] for i in range(self.settings.n_participants)]
-        predictions = [self._predictions[i] for i in range(self.settings.n_participants)]
-        if self.settings.weights is not None:
-            pseudo_sets = aggregate_weighted(predictions, spaces, self.settings.weights,
-                                             self.settings.alpha,
-                                             self.settings.unlabeled_size)
-        else:
-            pseudo_sets = aggregate(predictions, spaces, self.settings.alpha,
-                                    self.settings.unlabeled_size)
-        if self.settings.global_conflict_removal:
-            pseudo_sets = remove_global_conflicts(pseudo_sets)
-        self._pseudo_sets = pseudo_sets
-        for i, space in enumerate(spaces):
-            self._bundles[i] = build_bundle(pseudo_sets, space, owner=i)
+        n = self.settings.n_participants
+        try:
+            pseudo_sets, bundles = coordinate(
+                [self._predictions[i] for i in range(n)], [self._spaces[i] for i in range(n)],
+                self.settings.alpha, self.settings.unlabeled_size, self.settings.weights,
+                self.settings.global_conflict_removal)
+        except Exception as exc:
+            # The barrier breaks when this raises; record the cause first so
+            # every waiting participant is told it, not a straggler timeout.
+            self._record_abort(str(exc))
+            raise
+        with self._lock:
+            self._pseudo_sets = pseudo_sets
+            self._bundles = dict(enumerate(bundles))
 
     def _handle(self, conn: socket.socket, peer: str):
         conn.settimeout(self.settings.timeout_s)

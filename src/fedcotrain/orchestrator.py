@@ -444,20 +444,33 @@ def _prepare(config: FederationConfig, data: RoundData | None = None) -> _Prepar
                      baseline_accuracies=baseline_accuracies)
 
 
+def coordinate(predictions: Sequence[np.ndarray], label_spaces: Sequence[LabelSpace],
+               alpha: float, size: int, weights: CredibilityWeights | None,
+               global_conflict_removal: bool,
+               ) -> tuple[dict[int, PseudolabelSet], list[PseudolabelBundle]]:
+    """The coordinator's step: vote, optionally drop global conflicts, bundle.
+
+    The in-process round and the wire coordinator both call this, so their
+    bundles agree by construction.
+    """
+    if weights is not None:
+        pseudo_sets = aggregate_weighted(predictions, label_spaces, weights, alpha, size)
+    else:
+        pseudo_sets = aggregate(predictions, label_spaces, alpha, size)
+    if global_conflict_removal:
+        pseudo_sets = remove_global_conflicts(pseudo_sets)
+    bundles = [build_bundle(pseudo_sets, space, owner=i)
+               for i, space in enumerate(label_spaces)]
+    return pseudo_sets, bundles
+
+
 def _complete(prep: _Prepared, alpha: float) -> RoundResult:
     config = prep.config
     data = prep.data
     spaces = [shard.label_space for shard in data.shards]
     size = len(data.unlabeled)
-    if config.weights is not None:
-        pseudo_sets = aggregate_weighted(list(prep.predictions), spaces,
-                                         config.weights, alpha, size)
-    else:
-        pseudo_sets = aggregate(list(prep.predictions), spaces, alpha, size)
-    if config.global_conflict_removal:
-        pseudo_sets = remove_global_conflicts(pseudo_sets)
-    bundles = [build_bundle(pseudo_sets, spaces[i], owner=i)
-               for i in range(len(spaces))]
+    pseudo_sets, bundles = coordinate(list(prep.predictions), spaces, alpha, size,
+                                      config.weights, config.global_conflict_removal)
 
     federated = []
     fed_accuracies = []

@@ -90,6 +90,23 @@ class TestAggregate:
         bad = [np.array([9, 1, 1, 0])] + PREDS3[1:]
         with pytest.raises(AggregationError, match="outside declared label space"):
             aggregate(bad, SPACES3, alpha=0.5, size=4)
+        # category 2 is owned by participants 1 and 2, not by participant 0
+        foreign = [np.array([0, 1, 2, 0])] + PREDS3[1:]
+        with pytest.raises(AggregationError,
+                           match="participant 0: predicted category 2 outside"):
+            aggregate(foreign, SPACES3, alpha=0.5, size=4)
+        # sparse ids, one owned but never predicted; a vote between two
+        # owned ids and one past the largest are both rejected
+        big = 10 ** 12
+        sparse = [LabelSpace((big, big + 3, big + 7)), LabelSpace((big + 3,))]
+        votes = [np.array([big, big + 3, big]), np.array([big + 3] * 3)]
+        assert as_plain(aggregate(votes, sparse, alpha=0.4, size=3)) == \
+            {big: (0, 2), big + 3: (0, 1, 2), big + 7: ()}
+        for stray in (big + 4, big + 9):
+            with pytest.raises(AggregationError,
+                               match=f"participant 1: predicted category {stray} outside"):
+                aggregate([votes[0], np.array([big + 3, stray, big + 3])], sparse,
+                          alpha=0.4, size=3)
 
 
 class TestAggregateWeighted:
@@ -202,12 +219,14 @@ def vote_problems(draw, max_participants=6, max_categories=8, max_size=50):
     n_c = draw(st.integers(1, max_categories))
     size = draw(st.integers(1, max_size))
     seed = draw(st.integers(0, 2**32 - 1))
+    # category ids are multiples of the stride, so the vote also sees sparse ids
+    stride = draw(st.sampled_from([1, 3, 10**12 + 1]))
     rng = np.random.default_rng(seed)
     spaces = []
     for _ in range(n):
         k = int(rng.integers(1, n_c + 1))
-        spaces.append(LabelSpace(tuple(sorted(rng.choice(n_c, size=k,
-                                                         replace=False).tolist()))))
+        spaces.append(LabelSpace(tuple(sorted(
+            (stride * rng.choice(n_c, size=k, replace=False)).tolist()))))
     preds = [rng.choice(np.fromiter(space, dtype=np.int64), size=size)
              for space in spaces]
     return preds, spaces, size

@@ -3,6 +3,7 @@ import hashlib
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -339,3 +340,66 @@ class TestErrors:
             join_participant(config, data, 0, address, sha="0" * 64)
         coordinator._abort("test cleanup")
         thread.join(timeout=10)
+
+
+def register_raw(address, pid, label_space):
+    raw = RawClient(address)
+    raw.send({"v": 1, "kind": "REGISTER",
+              "payload": {"participant_id": pid, "label_space": label_space,
+                          "train_size": 5}})
+    assert raw.recv()["kind"] == "REGISTER_ACK"
+    return raw
+
+
+def send_labels(raw, pid, labels):
+    raw.send({"v": 1, "kind": "PREDICTIONS",
+              "payload": {"participant_id": pid, "labels": labels}})
+
+
+class TestPromptAborts:
+    """A failed round is reported with its real cause, long before the timeout."""
+
+    TIMEOUT_S = 30.0
+
+    def start(self, **kw):
+        config = small_config(n=2)
+        data = build_round_data(config)
+        started = time.monotonic()
+        coordinator, address, thread, box = start_coordinator(
+            settings_for(config, data, timeout_s=self.TIMEOUT_S, **kw))
+        return len(data.unlabeled), address, thread, box, started
+
+    def finish(self, thread, box, started):
+        thread.join(timeout=self.TIMEOUT_S)
+        assert box["result"].status.startswith("aborted")
+        assert time.monotonic() - started < self.TIMEOUT_S / 3
+
+    def test_barrier_failure_reaches_every_participant(self):
+        # category 2 is owned only by participant 1, whose weight is 0
+        size, address, thread, box, started = self.start(
+            weights=fc.CredibilityWeights((1.0, 0.0)))
+        clients = [register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 2])]
+        send_labels(clients[0], 0, [0] * size)
+        send_labels(clients[1], 1, [2] * size)
+        for raw in clients:
+            reply = raw.recv()
+            assert reply["kind"] == "ERROR"
+            assert "zero credibility weight" in reply["payload"]["text"]
+            raw.close()
+        self.finish(thread, box, started)
+        assert "zero credibility weight" in box["result"].status
+
+    def test_label_outside_int64_is_a_protocol_error(self):
+        size, address, thread, box, started = self.start()
+        waiting, bad = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
+        send_labels(waiting, 0, [0] * size)
+        send_labels(bad, 1, [2 ** 70] + [0] * (size - 1))
+        reply = bad.recv()
+        assert reply["kind"] == "ERROR"
+        assert "field 'labels' has the wrong type or range" in reply["payload"]["text"]
+        reply = waiting.recv()
+        assert reply["kind"] == "ERROR"
+        assert reply["payload"]["text"].startswith("round aborted: PREDICTIONS payload")
+        for raw in (waiting, bad):
+            raw.close()
+        self.finish(thread, box, started)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -252,3 +253,38 @@ class TestReportSerialization:
         }
         for record in result.report.to_records():
             assert set(record) == allowed[record["record"]]
+
+
+# report.jsonl sha256s frozen before the vote kernel was rewritten; a change
+# that keeps results identical must keep every one of them.
+GOLDEN_REPORT_SHA256 = {
+    ("iid", 1): "df998cc5a1f200691be32b9b056e6edbaf8642f89621fa52b2ecc8e6b7a49e9c",
+    ("iid", 2): "8f04b7ef68a8b41a2d2dfef1dea18baef7b2c9a3cdbdf99be15c6bad9e4f79b4",
+    ("iid", 3): "a40706a2ba689a0338cb6fe849a64699372bd65b84a304f978104ea986c4bc7e",
+    ("iid", 4): "869e2dacdeece40ec31a1a649a02bec0ef09d8abe6745f27f78249c6fc22d455",
+    ("iid", 5): "27103ee2f5a1df071841aba5511beafbeaa48c3166f5ab7998309f3e6f43effd",
+    ("noniid", 1): "c64f503e77f2e772bc7510658586e6e0e62f39861b9f8a4a9b1298c1e12bbe2a",
+    ("noniid", 2): "30a342cbd9c7427a0e2cc58b1756bb5e5bd438f190ab4562261434ca3cc90398",
+    ("noniid", 3): "d18bc5434fc9fdb788fc9e46e55e8e87cb2029830abd419a6d36b032b299d141",
+    ("noniid", 4): "62448b0f12b9d6a8d0b098a9e55411315986ff5b48a773ebcb90bff3c1e43c70",
+    ("noniid", 5): "bead63663338713cae95c5c5a977d1931e91a0f5baed7e0a7db168cdb5486de9",
+}
+GOLDEN_WEIGHTED_SHA256 = "52ede5eb0170e0baf1162a835a9a2a36a6436bb2bdf940537d7d1826a01a2535"
+
+
+def report_sha256(config) -> str:
+    return hashlib.sha256(run_round(config).report.to_jsonl().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("mode,seed", sorted(GOLDEN_REPORT_SHA256))
+def test_golden_report_hashes(mode, seed):
+    config = fc.default_config(n_participants=4, mode=mode, master_seed=seed,
+                               unlabeled_size=500)
+    assert report_sha256(config) == GOLDEN_REPORT_SHA256[(mode, seed)]
+
+
+def test_golden_report_hash_weighted_with_global_conflict_removal():
+    config = dataclasses.replace(
+        fc.default_config(n_participants=4, mode="noniid", master_seed=3, unlabeled_size=500),
+        weights=CredibilityWeights((1.0, 0.5, 2.0, 0.25)), global_conflict_removal=True)
+    assert report_sha256(config) == GOLDEN_WEIGHTED_SHA256
