@@ -115,9 +115,11 @@ def _one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _minibatches(rng: np.random.Generator, n: int, batch_size: int):
@@ -137,14 +139,15 @@ class LogisticRegressionClassifier(Classifier):
         Z = (X - self.mean) / self.std
         n, d = Z.shape
         k = len(self.classes)
-        y_idx = np.searchsorted(self.classes, y)
+        targets = _one_hot(np.searchsorted(self.classes, y), k)
+        Z1 = np.hstack([np.ones((n, 1)), Z])
         self.weights = rng.normal(0.0, 0.01, (d + 1, k))
         batch = min(self.config.batch_size, n)
         for _ in range(self.config.epochs):
             for rows in _minibatches(rng, n, batch):
-                zb = np.hstack([np.ones((len(rows), 1)), Z[rows]])
+                zb = Z1[rows]
                 probs = _softmax(zb @ self.weights)
-                grad = zb.T @ (probs - _one_hot(y_idx[rows], k)) / len(rows)
+                grad = zb.T @ (probs - targets[rows]) / len(rows)
                 self.weights -= self.config.learning_rate * grad
 
     def _scores(self, X):
@@ -166,13 +169,22 @@ class KNearestNeighborsClassifier(Classifier):
         sq = np.einsum("ij,ij->i", X, X)
         d2 = sq[:, None] + self.train_sq[None, :] - 2.0 * (X @ self.train_X.T)
         k = min(self.config.k, len(self.train_X))
-        # Stable sort keeps equidistant neighbors in training order, so
+        # Every row within the k-th smallest distance is a neighbor; the copy
+        # lets the partitioned matrix go at once.
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+        chosen = d2 <= kth[:, None]
+        # Where ties at the k-th distance overfill k (or NaN underfills it),
+        # a stable sort keeps equidistant neighbors in training order, so
         # prediction is deterministic under distance ties.
-        neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = np.zeros((len(X), len(self.classes)))
-        for j in range(k):
-            np.add.at(votes, (np.arange(len(X)), self.train_y_idx[neighbors[:, j]]), 1.0)
-        return votes
+        redo = np.flatnonzero(chosen.sum(axis=1) != k)
+        neighbors = np.argsort(d2[redo], axis=1, kind="stable")[:, :k]
+        chosen[redo] = False
+        chosen[redo[:, None], neighbors] = True
+        rows, cols = np.nonzero(chosen)
+        n_classes = len(self.classes)
+        votes = np.bincount(rows * n_classes + self.train_y_idx[cols],
+                            minlength=len(X) * n_classes)
+        return votes.reshape(len(X), n_classes).astype(np.float64)
 
 
 class GaussianNaiveBayesClassifier(Classifier):
@@ -220,20 +232,39 @@ class OneLayerNetworkClassifier(Classifier):
         n, d = Z.shape
         h = self.config.hidden_width
         k = len(self.classes)
-        y_idx = np.searchsorted(self.classes, y)
+        targets = _one_hot(np.searchsorted(self.classes, y), k)
         self.w1 = rng.normal(0.0, 1.0 / np.sqrt(d), (d, h))
         self.b1 = np.zeros(h)
         self.w2 = rng.normal(0.0, 1.0 / np.sqrt(h), (h, k))
         self.b2 = np.zeros(k)
         batch = min(self.config.batch_size, n)
         lr = self.config.learning_rate
+        # Per-fit buffers, sliced to a short last minibatch. Every step runs
+        # the same floating-point operations in the same order as the plain
+        # expressions would, only without fresh temporaries.
+        zb_buf = np.empty((batch, d))
+        targets_buf = np.empty((batch, k))
+        hidden_buf = np.empty((batch, h))
+        slope_buf = np.empty((batch, h))
+        delta_hidden_buf = np.empty((batch, h))
+        delta_out_buf = np.empty((batch, k))
         for _ in range(self.config.epochs):
             for rows in _minibatches(rng, n, batch):
-                zb = Z[rows]
-                hidden = np.tanh(zb @ self.w1 + self.b1)
-                probs = _softmax(hidden @ self.w2 + self.b2)
-                delta_out = (probs - _one_hot(y_idx[rows], k)) / len(rows)
-                delta_hidden = (delta_out @ self.w2.T) * (1.0 - hidden ** 2)
+                m = len(rows)
+                zb = np.take(Z, rows, axis=0, out=zb_buf[:m])
+                hidden = np.matmul(zb, self.w1, out=hidden_buf[:m])
+                hidden += self.b1
+                np.tanh(hidden, out=hidden)
+                logits = np.matmul(hidden, self.w2, out=delta_out_buf[:m])
+                logits += self.b2
+                # the probabilities turn into the output error in place
+                delta_out = _softmax(logits)
+                delta_out -= np.take(targets, rows, axis=0, out=targets_buf[:m])
+                delta_out /= m
+                slope = np.multiply(hidden, hidden, out=slope_buf[:m])
+                np.subtract(1.0, slope, out=slope)
+                delta_hidden = np.matmul(delta_out, self.w2.T, out=delta_hidden_buf[:m])
+                delta_hidden *= slope
                 self.w2 -= lr * (hidden.T @ delta_out)
                 self.b2 -= lr * delta_out.sum(axis=0)
                 self.w1 -= lr * (zb.T @ delta_hidden)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import socket
 import threading
 import time
@@ -44,6 +45,8 @@ from .aggregation import aggregate, aggregate_weighted, build_bundle, remove_glo
 from .domain import LabeledDataset, LabelSpace, UnlabeledDataset
 from .learners import TrainConfig, evaluate, pseudolabel, train_local, update_train
 from .orchestrator import coordinate
+
+log = logging.getLogger(__name__)
 
 PROTOCOL_VERSION = 1
 DEFAULT_MAX_LINE = 64 * 2 ** 20
@@ -107,7 +110,7 @@ def validate_message(doc) -> Message:
     if not _is_int(doc["v"]):
         raise ProtocolError("protocol version must be an integer")
     kind = doc["kind"]
-    if kind not in MESSAGE_SCHEMAS:
+    if not isinstance(kind, str) or kind not in MESSAGE_SCHEMAS:
         raise ProtocolError(f"unknown message kind {kind!r}")
     payload = doc["payload"]
     schema = MESSAGE_SCHEMAS[kind]
@@ -124,7 +127,9 @@ def validate_message(doc) -> Message:
 def decode_line(line: bytes) -> Message:
     try:
         doc = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer literals;
+        # RecursionError covers nesting deeper than the parser allows.
         raise ProtocolError(f"could not parse message line: {exc}") from None
     return validate_message(doc)
 
@@ -337,6 +342,13 @@ class Coordinator:
             if participant is not None:
                 # a registered participant failed: the round cannot complete
                 self._abort(str(exc))
+        except Exception as exc:
+            # a coordinator defect: report its real cause and end the round
+            # rather than let the exception kill this thread
+            log.exception("coordinator handler for %s failed", peer)
+            reason = f"{type(exc).__name__}: {exc}"
+            stream.try_send_error(reason)
+            self._abort(reason)
         finally:
             stream.close()
 

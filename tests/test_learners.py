@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcotrain.aggregation import PseudolabelBundle, PseudolabelSet
 from fedcotrain.domain import (
@@ -13,6 +17,7 @@ from fedcotrain.domain import (
 )
 from fedcotrain.learners import (
     LEARNER_KINDS,
+    KNearestNeighborsClassifier,
     LearnerError,
     TrainConfig,
     evaluate,
@@ -258,3 +263,99 @@ class TestEvaluate:
         bad = LabeledDataset(np.zeros((2, 2)), np.array([0, 7]))
         with pytest.raises(DomainError, match="outside"):
             evaluate(clf, bad)
+
+
+def array_sha(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def pin_data(n=1280, d=6, seed=41):
+    """Four noisy blobs with sparse category ids."""
+    rng = np.random.default_rng(seed)
+    classes = np.array([3, 7, 20, 21])
+    y = classes[rng.integers(0, len(classes), n)]
+    centers = rng.normal(0.0, 1.5, (len(classes), d))
+    X = centers[np.searchsorted(classes, y)] + rng.normal(0.0, 1.0, (n, d))
+    return LabeledDataset(X, y), LabelSpace(tuple(classes.tolist()))
+
+
+class TestPinnedOutputs:
+    """Fitted state and predictions pinned bit for bit.
+
+    1280 rows at batch 1000 end every epoch on a 280-row minibatch, so the
+    pins cover the short last minibatch as well as the full one.
+    """
+
+    CONFIG = TrainConfig(seed=5, epochs=20, batch_size=1000)
+
+    def test_mlp_weights(self):
+        data, space = pin_data()
+        clf = train_local("mlp", space, data, self.CONFIG)
+        assert array_sha(clf.w1, clf.b1, clf.w2, clf.b2) == (
+            "d9cae04d62a7d1c8719a8c76f99a1e4460d6a7e74b1dd58b7eb8fdf9d9d62f11")
+
+    def test_logreg_weights(self):
+        data, space = pin_data()
+        clf = train_local("logreg", space, data, self.CONFIG)
+        assert array_sha(clf.weights) == (
+            "14aa3233597bd793d868970c4c987ae4f03be42d87ddc531ddeb87a7ad79c6bd")
+
+    def test_knn_predictions_on_tie_heavy_grid(self):
+        rng = np.random.default_rng(43)
+        classes = np.array([2, 5, 11])
+        train = LabeledDataset(rng.integers(-3, 4, (600, 3)).astype(np.float64),
+                               classes[rng.integers(0, 3, 600)])
+        probe = rng.integers(-4, 5, (400, 3)).astype(np.float64)
+        space = LabelSpace(tuple(classes.tolist()))
+        shas = [array_sha(train_local("knn", space, train, TrainConfig(k=k))
+                          .predict_batch(probe))
+                for k in (1, 4, 9, 700)]
+        assert array_sha(*shas) == (
+            "b37729f6bae2fefe1a1d80b61660dba454c5d0c954184085deb953f9913eadab")
+
+
+def reference_knn_scores(train_X, train_y_idx, n_classes, k, X):
+    """Votes of the k nearest training rows; equidistant rows in training order."""
+    sq = np.einsum("ij,ij->i", X, X)
+    train_sq = np.einsum("ij,ij->i", train_X, train_X)
+    d2 = sq[:, None] + train_sq[None, :] - 2.0 * (X @ train_X.T)
+    votes = np.zeros((len(X), n_classes))
+    for row, order in enumerate(np.argsort(d2, axis=1, kind="stable")):
+        for col in order[:min(k, len(train_X))]:
+            votes[row, train_y_idx[col]] += 1.0
+    return votes
+
+
+@given(st.integers(1, 40), st.integers(1, 30), st.integers(1, 3), st.integers(1, 45),
+       st.sampled_from([1, 4, 10**9 + 7]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_property_knn_scores_match_stable_sort_reference(n_train, n_query, d, k,
+                                                         stride, seed):
+    # Integer-grid features on a tiny grid make many distances tie exactly.
+    rng = np.random.default_rng(seed)
+    classes = stride * np.arange(int(rng.integers(1, 5)))
+    train = LabeledDataset(rng.integers(-2, 3, (n_train, d)).astype(np.float64),
+                           rng.choice(classes, n_train))
+    X = rng.integers(-2, 3, (n_query, d)).astype(np.float64)
+    clf = KNearestNeighborsClassifier(LabelSpace(tuple(classes.tolist())),
+                                      TrainConfig(k=k)).train(train)
+    expected = reference_knn_scores(train.features, np.searchsorted(clf.classes, train.labels),
+                                    len(clf.classes), k, X)
+    scores = clf._scores(X)
+    assert scores.dtype == expected.dtype
+    assert np.array_equal(scores, expected)
+
+
+def test_knn_scores_match_reference_when_distances_overflow():
+    # A query of 1e308 overflows the squared distance to inf - inf = NaN, so
+    # fewer than k rows lie within the k-th distance; the sort decides there.
+    rng = np.random.default_rng(3)
+    train = LabeledDataset(rng.normal(3.0, 0.5, (30, 2)), rng.integers(0, 3, 30))
+    X = np.array([[1e308, 1e308], [1e308, 0.0], [0.5, -0.5]])
+    clf = KNearestNeighborsClassifier(LabelSpace((0, 1, 2)), TrainConfig(k=4)).train(train)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_knn_scores(train.features, train.labels, 3, 4, X)
+        assert np.array_equal(clf._scores(X), expected)

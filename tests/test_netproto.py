@@ -7,10 +7,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedcotrain as fc
 from fedcotrain.aggregation import aggregate, build_bundle
 from fedcotrain.netproto import (
+    MESSAGE_SCHEMAS,
     Coordinator,
     CoordinatorSettings,
     Message,
@@ -125,6 +128,52 @@ class TestMessages:
     def test_malformed_json_names_parse_failure(self):
         with pytest.raises(ProtocolError, match="could not parse"):
             decode_line(b"{not json")
+
+
+# Lines for the decode_line fuzz test: raw bytes, arbitrary JSON, documents
+# shaped like messages (so validation runs past the envelope), spliced valid
+# encodings, and the parser's own limits (deep nesting, huge integers).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 70, 2 ** 70)
+    | st.floats() | st.text(max_size=10),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=20)
+FIELD_NAMES = sorted({name for schema in MESSAGE_SCHEMAS.values() for name in schema})
+MESSAGE_DOCS = st.fixed_dictionaries({
+    "v": st.just(1) | JSON_VALUES,
+    "kind": st.sampled_from(sorted(MESSAGE_SCHEMAS)) | JSON_VALUES,
+    "payload": st.dictionaries(st.sampled_from(FIELD_NAMES), JSON_VALUES, max_size=5)
+    | JSON_VALUES,
+})
+VALID_LINE = Message("BUNDLE", {"participant_id": 1, "entries": [
+    {"category": 3, "indices": [0, 5]}]}).encode().strip()
+
+
+def splice(cut, length, insert):
+    cut %= len(VALID_LINE) + 1
+    return VALID_LINE[:cut] + insert + VALID_LINE[cut + length:]
+
+
+FUZZ_LINES = st.one_of(
+    st.binary(max_size=200),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    MESSAGE_DOCS.map(lambda doc: json.dumps(doc).encode()),
+    st.builds(splice, st.integers(0, 200), st.integers(0, 8), st.binary(max_size=8)),
+    st.integers(1, 3000).map(lambda n: b"[" * n + b"]" * n),
+    st.integers(1, 6000).map(lambda n: b"1" * n),
+)
+
+
+@given(FUZZ_LINES)
+@settings(max_examples=400, deadline=None)
+def test_fuzz_decode_line_yields_message_or_protocol_error(line):
+    try:
+        message = decode_line(line)
+    except ProtocolError:
+        return
+    assert isinstance(message, Message)
+    assert message.kind in MESSAGE_SCHEMAS
 
 
 class TestRound:
@@ -388,6 +437,36 @@ class TestPromptAborts:
             raw.close()
         self.finish(thread, box, started)
         assert "zero credibility weight" in box["result"].status
+
+    def test_unexpected_handler_error_reaches_every_participant(self, monkeypatch):
+        # A defect in a handler step (here: storing participant 1's
+        # predictions) ends the round with its real cause instead of killing
+        # the handler thread and leaving the others to time out.
+        class FailingStore(dict):
+            def __setitem__(self, pid, labels):
+                if pid == 1:
+                    raise RuntimeError("store failed")
+                super().__setitem__(pid, labels)
+
+        config = small_config(n=2)
+        data = build_round_data(config)
+        size = len(data.unlabeled)
+        started = time.monotonic()
+        coordinator, address, thread, box = start_coordinator(
+            settings_for(config, data, timeout_s=self.TIMEOUT_S))
+        monkeypatch.setattr(coordinator, "_predictions", FailingStore())
+        waiting, failing = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
+        send_labels(waiting, 0, [0] * size)
+        send_labels(failing, 1, [0] * size)
+        assert failing.recv() == {"v": 1, "kind": "ERROR",
+                                  "payload": {"text": "RuntimeError: store failed"}}
+        reply = waiting.recv()
+        assert reply["kind"] == "ERROR"
+        assert reply["payload"]["text"] == "round aborted: RuntimeError: store failed"
+        for raw in (waiting, failing):
+            raw.close()
+        self.finish(thread, box, started)
+        assert box["result"].status == "aborted: RuntimeError: store failed"
 
     def test_label_outside_int64_is_a_protocol_error(self):
         size, address, thread, box, started = self.start()
