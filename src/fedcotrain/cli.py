@@ -5,6 +5,11 @@ the offending field path. All outputs (reports, manifests, sweep tables) are
 byte-deterministic functions of the config, so reruns with the same master
 seed produce identical files.
 
+The document schema is derived from the dataclasses the document builds:
+every field is a key, required when the field has no default and checked
+against the field's annotation, and each class's ``__post_init__`` keeps its
+range checks. ``canonical_config`` writes the same fields back out.
+
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 protocol error.
 """
 
@@ -12,21 +17,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
-from .aggregation import AggregationError, CredibilityWeights
-from .domain import (
-    DomainError,
-    LabelSpace,
-    PartitionSpec,
-    TaxonomySpec,
-    load_csv,
-    save_csv,
-)
-from .learners import LearnerError, TrainConfig, LEARNER_KINDS
+from .aggregation import AggregationError
+from .domain import DomainError, LabelSpace, UnlabeledDataset, load_csv, save_csv
+from .learners import LearnerError
 from .netproto import (
     Coordinator,
     CoordinatorSettings,
@@ -39,9 +40,7 @@ from .netproto import (
 )
 from .orchestrator import (
     FederationConfig,
-    ParticipantSpec,
     RoundError,
-    UnlabeledSpec,
     build_round_data,
     participant_train_config,
     run_round,
@@ -63,284 +62,197 @@ class ConfigError(ValueError):
     """Schema violation in a run-config document."""
 
 
-def _expect_mapping(doc, path):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a mapping")
+# Field metadata. INLINE: the field's own keys sit in the enclosing mapping.
+# OMIT_IF_NONE: the canonical form leaves the key out while it is unset.
+INLINE = {"inline": True}
+OMIT_IF_NONE = {"omit_if_none": True}
+
+# Seeds are no keys: every seed derives from master_seed.
+DERIVED_FIELDS = ("seed",)
+
+_LEAVES = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+           float: ("a number", "numbers"), str: ("a string", "strings")}
+_SPEC_ERRORS = (ConfigError, DomainError, LearnerError, AggregationError)
 
 
-def _check_keys(doc, path, required, optional=()):
-    _expect_mapping(doc, path)
-    allowed = set(required) | set(optional)
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+@dataclass(frozen=True)
+class NetprotoSpec:
+    """Wire settings for ``serve`` and ``join``."""
+
+    bind: str = "127.0.0.1:0"
+    timeout_s: float = DEFAULT_COORDINATOR_TIMEOUT
+    max_line_bytes: int = DEFAULT_MAX_LINE
+
+    def __post_init__(self):
+        _parse_bind(self.bind)
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ConfigError(f"timeout_s must be a finite number > 0, got {self.timeout_s}")
+        if self.max_line_bytes < 1:
+            raise ConfigError(f"max_line_bytes must be >= 1, got {self.max_line_bytes}")
 
 
-def _get_number(doc, key, path, kind=float):
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    if kind is int and int(value) != value:
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    return kind(value)
-
-
-def _get_range(doc, key, path):
-    value = doc[key]
-    if (not isinstance(value, list) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-        raise ConfigError(f"{path}.{key}: expected a two-integer list [lo, hi]")
-    return (value[0], value[1])
-
-
-def _parse_taxonomy(doc):
-    path = "taxonomy"
-    _check_keys(doc, path,
-                required=("n_superclasses", "subclasses_per_superclass", "feature_dim",
-                          "instances_per_subclass"),
-                optional=("superclass_spread", "subclass_spread", "instance_noise"))
-    kwargs = {k: _get_number(doc, k, path, int)
-              for k in ("n_superclasses", "subclasses_per_superclass", "feature_dim",
-                        "instances_per_subclass")}
-    for k in ("superclass_spread", "subclass_spread", "instance_noise"):
-        if k in doc:
-            kwargs[k] = _get_number(doc, k, path, float)
-    try:
-        return TaxonomySpec(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_partition(doc):
-    path = "partition"
-    _check_keys(doc, path,
-                required=("n_participants", "superclasses_per_participant",
-                          "instances_per_superclass", "mode"),
-                optional=("subclasses_per_superclass_owned",))
-    kwargs = dict(
-        n_participants=_get_number(doc, "n_participants", path, int),
-        superclasses_per_participant=_get_range(doc, "superclasses_per_participant", path),
-        instances_per_superclass=_get_number(doc, "instances_per_superclass", path, int),
-        mode=doc["mode"],
-    )
-    if "subclasses_per_superclass_owned" in doc:
-        kwargs["subclasses_per_superclass_owned"] = _get_range(
-            doc, "subclasses_per_superclass_owned", path)
-    try:
-        return PartitionSpec(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_unlabeled(doc):
-    path = "unlabeled"
-    _check_keys(doc, path, required=("size",), optional=("strategy", "margin"))
-    kwargs = {"size": _get_number(doc, "size", path, int)}
-    if "strategy" in doc:
-        kwargs["strategy"] = doc["strategy"]
-    if "margin" in doc:
-        kwargs["margin"] = _get_number(doc, "margin", path, float)
-    try:
-        return UnlabeledSpec(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-TRAIN_CONFIG_KEYS = ("seed", "learning_rate", "epochs", "batch_size",
-                     "update_batch_size", "k", "smoothing", "hidden_width")
-
-
-def _parse_participant(doc, index):
-    path = f"participants[{index}]"
-    _expect_mapping(doc, path)
-    if "learner" not in doc:
-        raise ConfigError(f"{path}: missing required key 'learner' for participant {index}")
-    _check_keys(doc, path, required=("learner",), optional=("config",))
-    kind = doc["learner"]
-    if kind not in LEARNER_KINDS:
-        raise ConfigError(
-            f"{path}: unknown learner {kind!r} for participant {index}; "
-            f"choose from {sorted(LEARNER_KINDS)}")
-    kwargs = {}
-    sub = doc.get("config", {})
-    _check_keys(sub, f"{path}.config", required=(), optional=TRAIN_CONFIG_KEYS)
-    for key in TRAIN_CONFIG_KEYS:
-        if key in sub:
-            kind_of = float if key in ("learning_rate", "smoothing") else int
-            kwargs[key] = _get_number(sub, key, f"{path}.config", kind_of)
-    try:
-        return ParticipantSpec(kind, TrainConfig(**kwargs))
-    except (LearnerError, DomainError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_netproto(doc):
-    path = "netproto"
-    _check_keys(doc, path, required=(), optional=("bind", "timeout_s", "max_line_bytes"))
-    bind = doc.get("bind", "127.0.0.1:0")
-    if not isinstance(bind, str) or ":" not in bind:
-        raise ConfigError(f"{path}.bind: expected 'host:port'")
-    timeout = _get_number(doc, "timeout_s", path, float) if "timeout_s" in doc \
-        else DEFAULT_COORDINATOR_TIMEOUT
-    max_line = _get_number(doc, "max_line_bytes", path, int) if "max_line_bytes" in doc \
-        else DEFAULT_MAX_LINE
-    return {"bind": bind, "timeout_s": timeout, "max_line_bytes": max_line}
-
-
-TOP_KEYS_REQUIRED = ("alpha", "master_seed", "taxonomy", "partition", "unlabeled",
-                     "participants")
-TOP_KEYS_OPTIONAL = ("mode", "output_dir", "test_instances_per_superclass", "weights",
-                     "global_conflict_removal", "sweep_alphas", "sweep_sizes", "netproto")
-
-
+@dataclass(frozen=True)
 class RunConfig:
     """Parsed run-config document: the federation plus CLI-level settings."""
 
-    def __init__(self, federation: FederationConfig, mode: str, output_dir: str | None,
-                 sweep_alphas, sweep_sizes, netproto: dict):
-        self.federation = federation
-        self.mode = mode
-        self.output_dir = output_dir
-        self.sweep_alphas = sweep_alphas
-        self.sweep_sizes = sweep_sizes
-        self.netproto = netproto
+    federation: FederationConfig = field(metadata=INLINE)
+    mode: str = "in-process"
+    output_dir: str | None = field(default=None, metadata=OMIT_IF_NONE)
+    sweep_alphas: tuple[float, ...] | None = field(default=None, metadata=OMIT_IF_NONE)
+    sweep_sizes: tuple[int, ...] | None = field(default=None, metadata=OMIT_IF_NONE)
+    netproto: NetprotoSpec = field(default_factory=NetprotoSpec)
 
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and canonical_config(self) == canonical_config(other)
+    def __post_init__(self):
+        if self.mode not in RUN_MODES:
+            raise ConfigError(f"mode must be one of {RUN_MODES}, got {self.mode!r}")
+
+
+def _schema(cls) -> list:
+    """``(field, resolved annotation)`` for each field of ``cls`` a document carries."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls) if f.name not in DERIVED_FIELDS]
+
+
+def _keys(cls) -> dict:
+    """Document key -> whether it is required, for the mapping that builds ``cls``."""
+    keys = {}
+    for f, tp in _schema(cls):
+        if f.metadata.get("inline"):
+            keys.update(_keys(tp))
+        else:
+            keys[f.name] = f.default is MISSING and f.default_factory is MISSING
+    return keys
+
+
+def _is_leaf(value, tp) -> bool:
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is int:
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
+
+
+def _parse(value, tp, path: str):
+    """Check a document value against the annotation ``tp`` and build it."""
+    if get_origin(tp) in (Union, types.UnionType):  # ``X | None``
+        if value is None:
+            return None
+        tp = next(arg for arg in get_args(tp) if arg is not type(None))
+    if is_dataclass(tp):
+        return _parse_spec(tp, value, path)
+    if get_origin(tp) is tuple:
+        item, *rest = get_args(tp)
+        size = None if rest == [Ellipsis] else 1 + len(rest)
+        noun = _LEAVES[item][1] if item in _LEAVES else "entries"
+        what = f"a list of {size} {noun}" if size else f"a non-empty list of {noun}"
+        if (not isinstance(value, list) or not value or size not in (None, len(value))
+                or item in _LEAVES and not all(_is_leaf(v, item) for v in value)):
+            raise ConfigError(f"{path}: expected {what}")
+        # Entries are named as the rest of the package names them: "participant 1".
+        return tuple(_parse(v, item, f"{path.removesuffix('s')} {i}")
+                     for i, v in enumerate(value))
+    if not _is_leaf(value, tp):
+        raise ConfigError(f"{path}: expected {_LEAVES[tp][0]}")
+    return tp(value)
+
+
+def _parse_spec(cls, doc, path: str):
+    """Build ``cls`` from its document form; ``path`` names it in errors."""
+    label = path or "config"
+    schema = _schema(cls)
+    if len(schema) == 1:  # a one-field class is written as its field's value
+        (f, tp), = schema
+        kwargs = {f.name: _parse(doc, tp, path)}
+    else:
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{label}: expected a mapping")
+        keys = _keys(cls)
+        for key in doc:
+            if key not in keys:
+                raise ConfigError(f"{label}: unknown key {key!r}")
+        for key, required in keys.items():
+            if required and key not in doc:
+                raise ConfigError(f"{label}: missing required key {key!r}")
+        kwargs = {}
+        for f, tp in schema:
+            if f.metadata.get("inline"):
+                own = _keys(tp)
+                kwargs[f.name] = _parse_spec(tp, {k: v for k, v in doc.items() if k in own},
+                                             path)
+            elif f.name in doc:
+                kwargs[f.name] = _parse(doc[f.name], tp, f"{path}.{f.name}" if path else f.name)
+    try:
+        return cls(**kwargs)
+    except _SPEC_ERRORS as exc:
+        raise ConfigError(f"{label}: {exc}") from None
+
+
+def _dump(value):
+    """The document form of a parsed value; ``_parse`` reads it back unchanged."""
+    if is_dataclass(value):
+        schema = _schema(type(value))
+        if len(schema) == 1:
+            return _dump(getattr(value, schema[0][0].name))
+        doc = {}
+        for f, _ in schema:
+            v = getattr(value, f.name)
+            if f.metadata.get("inline"):
+                doc.update(_dump(v))
+            elif v is not None or not f.metadata.get("omit_if_none"):
+                doc[f.name] = _dump(v)
+        return doc
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value
 
 
 def parse_run_config(doc) -> RunConfig:
-    _check_keys(doc, "config", required=TOP_KEYS_REQUIRED, optional=TOP_KEYS_OPTIONAL)
-    alpha = _get_number(doc, "alpha", "config", float)
-    master_seed = _get_number(doc, "master_seed", "config", int)
-    taxonomy = _parse_taxonomy(doc["taxonomy"])
-    partition = _parse_partition(doc["partition"])
-    unlabeled = _parse_unlabeled(doc["unlabeled"])
-    if not isinstance(doc["participants"], list) or not doc["participants"]:
-        raise ConfigError("participants: expected a non-empty list")
-    participants = tuple(_parse_participant(p, i)
-                         for i, p in enumerate(doc["participants"]))
-    weights = None
-    if doc.get("weights") is not None:
-        raw = doc["weights"]
-        if not isinstance(raw, list) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw):
-            raise ConfigError("weights: expected null or a list of numbers")
-        try:
-            weights = CredibilityWeights(tuple(float(v) for v in raw))
-        except AggregationError as exc:
-            raise ConfigError(f"weights: {exc}") from None
-    test_per = (_get_number(doc, "test_instances_per_superclass", "config", int)
-                if "test_instances_per_superclass" in doc else 60)
-    global_removal = doc.get("global_conflict_removal", False)
-    if not isinstance(global_removal, bool):
-        raise ConfigError("global_conflict_removal: expected a boolean")
-    mode = doc.get("mode", "in-process")
-    if mode not in RUN_MODES:
-        raise ConfigError(f"mode: expected one of {RUN_MODES}, got {mode!r}")
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected a string")
-    sweep_alphas = doc.get("sweep_alphas")
-    if sweep_alphas is not None:
-        if not isinstance(sweep_alphas, list) or not sweep_alphas:
-            raise ConfigError("sweep_alphas: expected a non-empty list of numbers")
-        sweep_alphas = tuple(float(a) for a in sweep_alphas)
-    sweep_sizes = doc.get("sweep_sizes")
-    if sweep_sizes is not None:
-        if not isinstance(sweep_sizes, list) or not sweep_sizes:
-            raise ConfigError("sweep_sizes: expected a non-empty list of integers")
-        sweep_sizes = tuple(int(s) for s in sweep_sizes)
-    netproto = _parse_netproto(doc.get("netproto", {}))
-    try:
-        federation = FederationConfig(
-            alpha=alpha,
-            master_seed=master_seed,
-            taxonomy=taxonomy,
-            partition=partition,
-            unlabeled=unlabeled,
-            participants=participants,
-            test_instances_per_superclass=test_per,
-            weights=weights,
-            global_conflict_removal=global_removal,
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-    return RunConfig(federation, mode, output_dir, sweep_alphas, sweep_sizes, netproto)
+    return _parse_spec(RunConfig, doc, "")
 
 
 def canonical_config(rc: RunConfig) -> dict:
     """Fully-expanded canonical form; parsing it reproduces the same config."""
-    fed = rc.federation
-    doc = {
-        "alpha": fed.alpha,
-        "master_seed": fed.master_seed,
-        "mode": rc.mode,
-        "taxonomy": {
-            "n_superclasses": fed.taxonomy.n_superclasses,
-            "subclasses_per_superclass": fed.taxonomy.subclasses_per_superclass,
-            "feature_dim": fed.taxonomy.feature_dim,
-            "instances_per_subclass": fed.taxonomy.instances_per_subclass,
-            "superclass_spread": fed.taxonomy.superclass_spread,
-            "subclass_spread": fed.taxonomy.subclass_spread,
-            "instance_noise": fed.taxonomy.instance_noise,
-        },
-        "partition": {
-            "n_participants": fed.partition.n_participants,
-            "superclasses_per_participant": list(fed.partition.superclasses_per_participant),
-            "instances_per_superclass": fed.partition.instances_per_superclass,
-            "mode": fed.partition.mode,
-            "subclasses_per_superclass_owned": list(fed.partition.subclasses_per_superclass_owned),
-        },
-        "unlabeled": {
-            "size": fed.unlabeled.size,
-            "strategy": fed.unlabeled.strategy,
-            "margin": fed.unlabeled.margin,
-        },
-        "test_instances_per_superclass": fed.test_instances_per_superclass,
-        "weights": list(fed.weights.values) if fed.weights is not None else None,
-        "global_conflict_removal": fed.global_conflict_removal,
-        "participants": [
-            {"learner": p.learner, "config": {
-                "seed": p.config.seed,
-                "learning_rate": p.config.learning_rate,
-                "epochs": p.config.epochs,
-                "batch_size": p.config.batch_size,
-                "update_batch_size": p.config.update_batch_size,
-                "k": p.config.k,
-                "smoothing": p.config.smoothing,
-                "hidden_width": p.config.hidden_width,
-            }}
-            for p in fed.participants
-        ],
-        "netproto": {"bind": rc.netproto["bind"], "timeout_s": rc.netproto["timeout_s"],
-                     "max_line_bytes": rc.netproto["max_line_bytes"]},
-    }
-    if rc.output_dir is not None:
-        doc["output_dir"] = rc.output_dir
-    if rc.sweep_alphas is not None:
-        doc["sweep_alphas"] = list(rc.sweep_alphas)
-    if rc.sweep_sizes is not None:
-        doc["sweep_sizes"] = list(rc.sweep_sizes)
-    return doc
+    return _dump(rc)
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_run_config(path, seed_override=None) -> RunConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} line {exc.lineno}: invalid JSON: {exc.msg}") from None
-    rc = parse_run_config(doc)
+    rc = parse_run_config(_read_json(Path(path)))
     if seed_override is not None:
-        rc.federation = replace(rc.federation, master_seed=int(seed_override))
+        rc = replace(rc, federation=replace(rc.federation, master_seed=int(seed_override)))
     return rc
+
+
+def _flag_values(text: str) -> list:
+    """Split a comma-separated flag; pieces that are not numbers stay text."""
+    def number(piece):
+        for kind in (int, float):
+            try:
+                return kind(piece)
+            except ValueError:
+                pass
+        return piece
+    return [number(piece) for piece in text.split(",")]
+
+
+def _with_flag(spec, flag: str, **change):
+    """``spec`` with one command-line flag applied, unless it was not given."""
+    if None in change.values():
+        return spec
+    try:
+        return replace(spec, **change)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _resolve_out(flag_value, rc: RunConfig) -> Path:
@@ -355,17 +267,6 @@ def _write_jsonl(path: Path, records) -> None:
                     encoding="utf-8")
 
 
-def _save_pool_csv(pool, path: Path) -> None:
-    d = pool.features.shape[1]
-    lines = [",".join([f"f{j}" for j in range(d)] + ["superclass", "subclass"])]
-    for i in range(len(pool)):
-        cells = [format(v, ".17g") for v in pool.features[i]]
-        cells.append(str(int(pool.superclass_labels[i])))
-        cells.append(str(int(pool.subclass_labels[i])))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def cmd_generate_data(args) -> int:
     rc = load_run_config(args.config, args.seed)
     out = _resolve_out(args.out, rc)
@@ -373,7 +274,9 @@ def cmd_generate_data(args) -> int:
     data = build_round_data(fed)
 
     pool_file = out / "pool.csv"
-    _save_pool_csv(data.pool, pool_file)
+    save_csv(UnlabeledDataset(data.pool.features), pool_file,
+             int_columns={"superclass": data.pool.superclass_labels,
+                          "subclass": data.pool.subclass_labels})
     unlabeled_file = out / "unlabeled.csv"
     save_csv(data.unlabeled, unlabeled_file)
 
@@ -418,7 +321,7 @@ def _read_manifest(data_dir: Path) -> dict:
     path = data_dir / "manifest.json"
     if not path.exists():
         raise ConfigError(f"no manifest.json in {data_dir}; run generate-data first")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_json(path)
 
 
 def _dump_artifacts(artifacts, out: Path) -> None:
@@ -455,67 +358,52 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_alpha(args) -> int:
+def _sweep(args, name: str, key: str, width: int, spec: str, run) -> int:
+    """Rerun the round once per value of the ``--{name}s`` flag or ``sweep_{name}s`` key.
+
+    ``run(federation, values)`` returns ``(value, report)`` pairs; each
+    record stores its value under ``key``, and the table prints it in a
+    column ``width`` wide with format ``spec``.
+    """
     rc = load_run_config(args.config, args.seed)
     out = _resolve_out(args.out, rc)
-    alphas = ([float(a) for a in args.alphas.split(",")] if args.alphas
-              else rc.sweep_alphas)
-    if not alphas:
-        raise ConfigError("no alphas: pass --alphas or set sweep_alphas in the config")
-    entries = sweep_alpha(rc.federation, list(alphas))
+    flag, config_key = f"{name}s", f"sweep_{name}s"
+    text = getattr(args, flag)
+    values = (_parse(_flag_values(text), get_type_hints(RunConfig)[config_key], f"--{flag}")
+              if text else getattr(rc, config_key))
+    if not values:
+        raise ConfigError(f"no {flag}: pass --{flag} or set {config_key} in the config")
     records = [{
-        "record": "alpha_sweep",
-        "alpha": e.alpha,
-        "total_pseudolabels": e.total_pseudolabels,
-        "mean_local_accuracy": e.report.mean_local_accuracy,
-        "mean_federated_accuracy": e.report.mean_federated_accuracy,
-        "mean_relative_accuracy": e.report.mean_relative_accuracy,
-    } for e in entries]
-    _write_jsonl(out / "sweep_alpha.jsonl", records)
-    lines = [f"{'alpha':>6} {'pseudolabels':>13} {'mean_local':>11} "
-             f"{'mean_fed':>9} {'mean_ratio':>11}"]
-    for r in records:
-        ratio = r["mean_relative_accuracy"]
-        lines.append(f"{r['alpha']:>6.3g} {r['total_pseudolabels']:>13} "
-                     f"{r['mean_local_accuracy']:>11.4f} "
-                     f"{r['mean_federated_accuracy']:>9.4f} "
-                     f"{(f'{ratio:.4f}' if ratio is not None else 'n/a'):>11}")
-    table = "\n".join(lines) + "\n"
-    (out / "sweep_alpha.txt").write_text(table, encoding="utf-8")
-    print(table if args.format == "table"
-          else "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), end="")
-    return EXIT_OK
-
-
-def cmd_sweep_size(args) -> int:
-    rc = load_run_config(args.config, args.seed)
-    out = _resolve_out(args.out, rc)
-    sizes = ([int(s) for s in args.sizes.split(",")] if args.sizes else rc.sweep_sizes)
-    if not sizes:
-        raise ConfigError("no sizes: pass --sizes or set sweep_sizes in the config")
-    entries = sweep_unlabeled_size(rc.federation, list(sizes))
-    records = [{
-        "record": "size_sweep",
-        "unlabeled_size": size,
+        "record": f"{name}_sweep",
+        key: value,
         "total_pseudolabels": report.total_pseudolabels,
         "mean_local_accuracy": report.mean_local_accuracy,
         "mean_federated_accuracy": report.mean_federated_accuracy,
         "mean_relative_accuracy": report.mean_relative_accuracy,
-    } for size, report in entries]
-    _write_jsonl(out / "sweep_size.jsonl", records)
-    lines = [f"{'size':>7} {'pseudolabels':>13} {'mean_local':>11} "
+    } for value, report in run(rc.federation, list(values))]
+    _write_jsonl(out / f"sweep_{name}.jsonl", records)
+    lines = [f"{name:>{width}} {'pseudolabels':>13} {'mean_local':>11} "
              f"{'mean_fed':>9} {'mean_ratio':>11}"]
     for r in records:
         ratio = r["mean_relative_accuracy"]
-        lines.append(f"{r['unlabeled_size']:>7} {r['total_pseudolabels']:>13} "
+        lines.append(f"{r[key]:>{width}{spec}} {r['total_pseudolabels']:>13} "
                      f"{r['mean_local_accuracy']:>11.4f} "
                      f"{r['mean_federated_accuracy']:>9.4f} "
                      f"{(f'{ratio:.4f}' if ratio is not None else 'n/a'):>11}")
     table = "\n".join(lines) + "\n"
-    (out / "sweep_size.txt").write_text(table, encoding="utf-8")
+    (out / f"sweep_{name}.txt").write_text(table, encoding="utf-8")
     print(table if args.format == "table"
           else "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), end="")
     return EXIT_OK
+
+
+def cmd_sweep_alpha(args) -> int:
+    return _sweep(args, "alpha", "alpha", 6, ".3g",
+                  lambda fed, alphas: [(e.alpha, e.report) for e in sweep_alpha(fed, alphas)])
+
+
+def cmd_sweep_size(args) -> int:
+    return _sweep(args, "size", "unlabeled_size", 7, "", sweep_unlabeled_size)
 
 
 def cmd_analyze(args) -> int:
@@ -540,6 +428,8 @@ def _parse_bind(text: str) -> tuple[str, int]:
 
 def cmd_serve(args) -> int:
     rc = load_run_config(args.config, args.seed)
+    net = _with_flag(_with_flag(rc.netproto, "--bind", bind=args.bind),
+                     "--timeout", timeout_s=args.timeout)
     data_dir = Path(args.data)
     manifest = _read_manifest(data_dir)
     unlabeled_file = data_dir / manifest["unlabeled"]["file"]
@@ -552,10 +442,10 @@ def cmd_serve(args) -> int:
         dataset_sha256=file_sha256(unlabeled_file),
         weights=rc.federation.weights,
         global_conflict_removal=rc.federation.global_conflict_removal,
-        timeout_s=args.timeout if args.timeout is not None else rc.netproto["timeout_s"],
-        max_line=rc.netproto["max_line_bytes"],
+        timeout_s=net.timeout_s,
+        max_line=net.max_line_bytes,
     )
-    host, port = _parse_bind(args.bind or rc.netproto["bind"])
+    host, port = _parse_bind(net.bind)
     coordinator = Coordinator(settings)
     bound = coordinator.bind(host, port)
     print(f"coordinator listening on {bound[0]}:{bound[1]} "
@@ -578,6 +468,8 @@ def cmd_serve(args) -> int:
 
 def cmd_join(args) -> int:
     rc = load_run_config(args.config, args.seed)
+    net = _with_flag(rc.netproto, "--timeout", timeout_s=DEFAULT_CLIENT_TIMEOUT
+                     if args.timeout is None else args.timeout)
     data_dir = Path(args.data)
     manifest = _read_manifest(data_dir)
     i = args.participant
@@ -601,8 +493,8 @@ def cmd_join(args) -> int:
         public=public,
         public_sha256=file_sha256(unlabeled_file),
         config=config,
-        timeout_s=args.timeout if args.timeout is not None else DEFAULT_CLIENT_TIMEOUT,
-        max_line=rc.netproto["max_line_bytes"],
+        timeout_s=net.timeout_s,
+        max_line=net.max_line_bytes,
     )
     record = result.to_record()
     if args.out:

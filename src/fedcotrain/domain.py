@@ -453,20 +453,20 @@ def _format_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def save_csv(dataset: LabeledDataset | UnlabeledDataset, path, header: bool = True) -> None:
+def save_csv(dataset: LabeledDataset | UnlabeledDataset, path, header: bool = True,
+             int_columns: dict[str, np.ndarray] | None = None) -> None:
+    """Write features, then integer columns: a labeled dataset's ``label``,
+    then each of ``int_columns`` (name -> one value per row)."""
     path = Path(path)
-    labeled = isinstance(dataset, LabeledDataset)
+    columns = {"label": dataset.labels} if isinstance(dataset, LabeledDataset) else {}
+    columns.update(int_columns or {})
     d = dataset.feature_dim
     lines = []
     if header:
-        cols = [f"f{j}" for j in range(d)]
-        if labeled:
-            cols.append("label")
-        lines.append(",".join(cols))
+        lines.append(",".join([f"f{j}" for j in range(d)] + list(columns)))
     for i in range(len(dataset)):
         cells = [_format_float(v) for v in dataset.features[i]]
-        if labeled:
-            cells.append(str(int(dataset.labels[i])))
+        cells.extend(str(int(values[i])) for values in columns.values())
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -20,7 +20,7 @@ carried by per-participant train configs is overridden by the derived one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,12 +82,12 @@ class UnlabeledSpec:
 @dataclass(frozen=True)
 class ParticipantSpec:
     learner: str
-    config: TrainConfig
+    config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.learner not in LEARNER_KINDS:
             raise DomainError(
-                f"unknown learner kind {self.learner!r}; choose from {sorted(LEARNER_KINDS)}"
+                f"unknown learner {self.learner!r}; choose from {sorted(LEARNER_KINDS)}"
             )
 
 

@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import re
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +12,14 @@ from fedcotrain.cli import (
     EXIT_OK,
     EXIT_PROTOCOL,
     EXIT_RUNTIME,
+    ConfigError,
     canonical_config,
     load_run_config,
     main,
     parse_run_config,
 )
+from fedcotrain.domain import PartitionSpec
+from fedcotrain.learners import TrainConfig
 from fedcotrain.orchestrator import build_round_data
 
 
@@ -99,6 +105,44 @@ class TestConfigParsing:
     def test_seed_override(self, config_path):
         rc = load_run_config(config_path, seed_override=99)
         assert rc.federation.master_seed == 99
+
+    def test_example_config_is_its_own_canonical_form(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "example.json"
+        canon = canonical_config(load_run_config(path))
+        assert json.dumps(canon, sort_keys=True, indent=2) + "\n" == path.read_text()
+
+    def test_canonical_form_writes_every_dataclass_field_but_seeds(self):
+        canon = canonical_config(parse_run_config(base_config()))
+        assert set(canon["participants"][0]["config"]) == {
+            f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+        assert set(canon["partition"]) == {
+            f.name for f in dataclasses.fields(PartitionSpec)} - {"seed"}
+        assert "output_dir" not in canon and canon["weights"] is None
+
+    def test_participant_seed_is_unknown_key(self):
+        doc = base_config()
+        doc["participants"][2]["config"]["seed"] = 123
+        with pytest.raises(ConfigError, match=r"participant 2\.config: unknown key 'seed'"):
+            parse_run_config(doc)
+
+    def test_partition_mode_defaults_to_noniid(self):
+        doc = base_config()
+        del doc["partition"]["mode"]
+        assert parse_run_config(doc) == parse_run_config(base_config(mode="noniid"))
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("netproto", "timeout_s", -1, "netproto: timeout_s must be"),
+        ("netproto", "timeout_s", 0, "netproto: timeout_s must be"),
+        ("netproto", "max_line_bytes", 0, "netproto: max_line_bytes must be >= 1"),
+        ("netproto", "bind", "localhost", "netproto: invalid address 'localhost'"),
+        ("taxonomy", "feature_dim", 2.5, "taxonomy.feature_dim: expected an integer"),
+        ("partition", "superclasses_per_participant", [2], "expected a list of 2 integers"),
+    ])
+    def test_bad_values_name_their_path(self, section, key, value, message):
+        doc = base_config()
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_run_config(doc)
 
 
 class TestExitCodes:
@@ -242,6 +286,23 @@ class TestSweeps:
                      "--out", str(tmp_path / "s")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, doc_values, flags, named", [
+        ("sweep-alpha", {"sweep_alphas": ["x"]}, [], "sweep_alphas"),
+        ("sweep-alpha", {"sweep_alphas": [None]}, [], "sweep_alphas"),
+        ("sweep-size", {"sweep_sizes": ["ab"]}, [], "sweep_sizes"),
+        ("sweep-size", {"sweep_sizes": [2.5, 40]}, [], "sweep_sizes"),
+        ("sweep-alpha", {}, ["--alphas", "0.1,x"], "--alphas"),
+        ("sweep-size", {}, ["--sizes", "1.5"], "--sizes"),
+        ("sweep-size", {}, ["--sizes", "20,,60"], "--sizes"),
+    ])
+    def test_bad_sweep_values_are_config_errors(self, tmp_path, capsys, command,
+                                                doc_values, flags, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**base_config(), **doc_values}), encoding="utf-8")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "s"), *flags])
+        assert code == EXIT_CONFIG
+        assert f"config error: {named}: expected a non-empty list of" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_analysis_written_next_to_report(self, config_path, tmp_path):
@@ -323,6 +384,30 @@ class TestServeJoin:
         assert "hash mismatch" in capsys.readouterr().err
         server.join(timeout=30)
         assert serve_code["value"] == EXIT_PROTOCOL
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--bind", "127.0.0.1:0"],
+        ["join", "--participant", "0", "--addr", "127.0.0.1:9"],
+    ])
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
+    def test_bad_timeout_flag_is_config_error(self, config_path, tmp_path, capsys,
+                                              command, timeout):
+        code = main([command[0], "--config", str(config_path), "--data", str(tmp_path),
+                     *command[1:], "--timeout", timeout])
+        assert code == EXIT_CONFIG
+        assert "config error: --timeout: timeout_s must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--bind", "127.0.0.1:0", "--timeout", "1"],
+        ["join", "--participant", "0", "--addr", "127.0.0.1:9", "--timeout", "1"],
+    ])
+    def test_invalid_manifest_is_config_error(self, config_path, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"unlabeled": ', encoding="utf-8")
+        code = main([command[0], "--config", str(config_path), "--data", str(tmp_path),
+                     *command[1:]])
+        assert code == EXIT_CONFIG
+        assert f"config error: {manifest}: invalid JSON" in capsys.readouterr().err
 
     def test_serve_timeout_without_clients_exits_4(self, config_path, tmp_path):
         data_dir = tmp_path / "data"

@@ -346,6 +346,15 @@ class TestCsv:
         assert np.array_equal(loaded.features, data.features)
         assert np.array_equal(loaded.labels, data.labels)
 
+    def test_int_columns_follow_the_label(self, tmp_path):
+        data = LabeledDataset(np.array([[0.1, -2.5], [3.0, 1e-8]]), np.array([4, 7]))
+        path = tmp_path / "extra.csv"
+        save_csv(data, path, int_columns={"superclass": np.array([1, 2]),
+                                          "subclass": np.array([3, 5])})
+        assert path.read_text() == ("f0,f1,label,superclass,subclass\n"
+                                    "0.10000000000000001,-2.5,4,1,3\n"
+                                    "3,1e-08,7,2,5\n")
+
     def test_round_trip_is_bit_exact_for_awkward_floats(self, tmp_path):
         rng = np.random.default_rng(0)
         data = UnlabeledDataset(rng.standard_normal((50, 4)) * 1e3)
