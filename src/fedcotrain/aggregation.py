@@ -15,15 +15,27 @@ per chunk of public indices. A chunk holds about ``VOTE_CHUNK_CELLS``
 the public dataset size. Every bin sums in participant order, which keeps
 float results reproducible.
 
+Before the vote, each participant's votes are checked and mapped to those
+positions through the row's distinct values only: ``np.unique`` finds them
+and the inverse map, ``np.searchsorted`` places each distinct value in the
+union once, and the inverse spreads the positions back over the row. Dense
+and sparse category ids take this one path.
+
 A participant's bundle is the restriction of the admitted index sets to its
 own label space, with any index claimed by two or more of those sets dropped
-from all of them so the bundle never carries contradictory labels.
+from all of them so the bundle never carries contradictory labels. One sort
+finds the repeats: the sets' indices are concatenated and argsorted, equal
+neighbours in sorted order are marked, and the mark is scattered back to each
+set. A bundle checks that its entries are disjoint with the same rule.
+Index sets hold their indices as a tuple of Python ints; the array work runs
+on temporary int64 copies, and a set with dropped indices keeps the kept int
+objects of the set it came from.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,11 +55,19 @@ class PseudolabelSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
+        idx = tuple(self.indices)
+        try:
+            values = np.fromiter(idx, dtype=np.int64, count=len(idx))
+        except OverflowError:
+            raise AggregationError("indices must fit in int64") from None
+        if (values < 0).any():
             raise AggregationError("indices must be non-negative")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if (values[1:] <= values[:-1]).any():
             raise AggregationError("indices must be strictly ascending")
+        # Keep exact ints as they are (bundles share them with the admitted
+        # sets); anything else, numpy ints included, is stored as Python int.
+        if idx and set(map(type, idx)) != {int}:
+            idx = tuple(values.tolist())
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "category", int(self.category))
 
@@ -66,14 +86,11 @@ class PseudolabelBundle:
         cats = [e.category for e in self.entries]
         if any(b <= a for a, b in zip(cats, cats[1:])):
             raise AggregationError("bundle entries must be sorted by category")
-        seen: set[int] = set()
-        for entry in self.entries:
-            overlap = seen.intersection(entry.indices)
-            if overlap:
-                raise AggregationError(
-                    f"bundle entries overlap on indices {sorted(overlap)[:5]}"
-                )
-            seen.update(entry.indices)
+        _, overlap = _repeated(self.entries)
+        if len(overlap):
+            raise AggregationError(
+                f"bundle entries overlap on indices {np.unique(overlap)[:5].tolist()}"
+            )
 
     def __len__(self) -> int:
         return sum(len(e) for e in self.entries)
@@ -140,14 +157,15 @@ def _validate_votes(predictions: Sequence[np.ndarray],
             raise AggregationError(
                 f"participant {i}: prediction vector length {row.shape} != {size}"
             )
-        pos = np.minimum(np.searchsorted(union, row), len(union) - 1)
-        valid = (union[pos] == row) & owned[i, pos]
+        values, inverse = np.unique(row, return_inverse=True)
+        pos = np.minimum(np.searchsorted(union, values), len(union) - 1)
+        valid = (union[pos] == values) & owned[i, pos]
         if not valid.all():
-            bad = row[np.argmin(valid)]
+            bad = row[np.argmin(valid[inverse])]
             raise AggregationError(
                 f"participant {i}: predicted category {bad} outside declared label space"
             )
-        dense[i] = pos
+        dense[i] = pos[inverse]
     return union, owned, dense
 
 
@@ -219,14 +237,39 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
             for c, indices in zip(union.tolist(), per_category)}
 
 
+def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Find the indices that two or more of the sets share, with one sort.
+
+    Returns a mask over the sets' concatenated indices, in entry order, that
+    marks every shared occurrence, and the shared indices in ascending order
+    (an index shared by k sets appears k - 1 times).
+    """
+    flat = np.fromiter(chain.from_iterable(e.indices for e in entries), dtype=np.int64,
+                       count=sum(len(e) for e in entries))
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    same = ordered[1:] == ordered[:-1]
+    marked = np.zeros(len(flat), dtype=bool)
+    marked[1:] = same
+    marked[:-1] |= same
+    mask = np.empty_like(marked)
+    mask[order] = marked
+    return mask, ordered[1:][same]
+
+
 def _drop_conflicts(entries: Sequence[PseudolabelSet]) -> list[PseudolabelSet]:
     """Drop every index claimed by two or more of the sets from all of them."""
-    counts = Counter()
+    mask, _ = _repeated(entries)
+    out, lo = [], 0
     for entry in entries:
-        counts.update(entry.indices)
-    conflicted = {i for i, c in counts.items() if c >= 2}
-    return [PseudolabelSet(e.category, tuple(i for i in e.indices if i not in conflicted))
-            for e in entries]
+        hi = lo + len(entry)
+        drop = mask[lo:hi]
+        if drop.any():
+            entry = PseudolabelSet(entry.category,
+                                   tuple(compress(entry.indices, (~drop).tolist())))
+        out.append(entry)
+        lo = hi
+    return out
 
 
 def remove_global_conflicts(

@@ -317,11 +317,27 @@ def cmd_generate_data(args) -> int:
     return EXIT_OK
 
 
-def _read_manifest(data_dir: Path) -> dict:
+def _read_manifest(data_dir: Path):
+    """Read ``manifest.json`` and return a lookup ``item(k1, k2, ...)`` into it.
+
+    A missing item is a config error that names the file and the key path.
+    """
     path = data_dir / "manifest.json"
     if not path.exists():
         raise ConfigError(f"no manifest.json in {data_dir}; run generate-data first")
-    return _read_json(path)
+    manifest = _read_json(path)
+
+    def item(*keys):
+        value = manifest
+        for n, key in enumerate(keys, 1):
+            try:
+                value = value[key]
+            except (KeyError, IndexError, TypeError):
+                where = ".".join(map(str, keys[:n]))
+                raise ConfigError(f"{path}: missing key {where!r}") from None
+        return value
+
+    return item
 
 
 def _dump_artifacts(artifacts, out: Path) -> None:
@@ -432,13 +448,13 @@ def cmd_serve(args) -> int:
                      "--timeout", timeout_s=args.timeout)
     data_dir = Path(args.data)
     manifest = _read_manifest(data_dir)
-    unlabeled_file = data_dir / manifest["unlabeled"]["file"]
+    unlabeled_file = data_dir / manifest("unlabeled", "file")
     if not unlabeled_file.exists():
         raise ConfigError(f"unlabeled dataset {unlabeled_file} is missing")
     settings = CoordinatorSettings(
         n_participants=rc.federation.partition.n_participants,
         alpha=rc.federation.alpha,
-        unlabeled_size=manifest["unlabeled"]["size"],
+        unlabeled_size=manifest("unlabeled", "size"),
         dataset_sha256=file_sha256(unlabeled_file),
         weights=rc.federation.weights,
         global_conflict_removal=rc.federation.global_conflict_removal,
@@ -473,13 +489,13 @@ def cmd_join(args) -> int:
     data_dir = Path(args.data)
     manifest = _read_manifest(data_dir)
     i = args.participant
-    if not 0 <= i < len(manifest["participants"]):
+    participants = manifest("participants")
+    if not isinstance(participants, list) or not 0 <= i < len(participants):
         raise ConfigError(f"participant {i} not present in manifest")
-    entry = manifest["participants"][i]
-    space = LabelSpace(tuple(entry["label_space"]))
-    train = load_csv(data_dir / entry["train"]["file"], label_space=space)
-    test = load_csv(data_dir / entry["test"]["file"], label_space=space)
-    unlabeled_file = data_dir / manifest["unlabeled"]["file"]
+    space = LabelSpace(tuple(manifest("participants", i, "label_space")))
+    train = load_csv(data_dir / manifest("participants", i, "train", "file"), label_space=space)
+    test = load_csv(data_dir / manifest("participants", i, "test", "file"), label_space=space)
+    unlabeled_file = data_dir / manifest("unlabeled", "file")
     public = load_csv(unlabeled_file)
     spec = rc.federation.participants[i]
     config = participant_train_config(rc.federation, i)

@@ -397,8 +397,8 @@ def uniform_random_unlabeled(pool: Pool, size: int, seed: int,
     """
     if size < 1:
         raise DomainError("unlabeled size must be >= 1")
-    if margin < 0:
-        raise DomainError("margin must be >= 0")
+    if not 0 <= margin < np.inf:
+        raise DomainError("margin must be finite and >= 0")
     lo = pool.features.min(axis=0)
     hi = pool.features.max(axis=0)
     span = hi - lo

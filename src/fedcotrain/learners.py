@@ -14,6 +14,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
@@ -47,13 +48,13 @@ class TrainConfig:
     hidden_width: int = 32
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise LearnerError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise LearnerError("learning_rate must be finite and > 0")
         for name in ("epochs", "batch_size", "update_batch_size", "k", "hidden_width"):
             if getattr(self, name) < 1:
                 raise LearnerError(f"{name} must be >= 1")
-        if self.smoothing <= 0:
-            raise LearnerError("smoothing must be > 0")
+        if not 0 < self.smoothing < math.inf:
+            raise LearnerError("smoothing must be finite and > 0")
 
 
 class Classifier(ABC):
@@ -302,22 +303,24 @@ def pseudolabel(classifier: Classifier, public: UnlabeledDataset) -> np.ndarray:
 
 
 def materialize_bundle(bundle: PseudolabelBundle, public: UnlabeledDataset) -> LabeledDataset:
-    """Turn index sets into a labeled dataset of public instances."""
-    rows = []
-    labels = []
-    for entry in bundle.entries:
-        for index in entry.indices:
-            if not 0 <= index < len(public):
-                raise LearnerError(
-                    f"bundle index {index} outside public dataset of size {len(public)}"
-                )
-            rows.append(index)
-            labels.append(entry.category)
-    if not rows:
+    """Turn index sets into a labeled dataset of public instances.
+
+    Rows come entry by entry in bundle order, each labeled with its entry's
+    category.
+    """
+    if len(bundle) == 0:
         raise LearnerError("cannot materialize an empty bundle")
+    rows = np.concatenate([np.fromiter(e.indices, dtype=np.int64, count=len(e))
+                           for e in bundle.entries])
+    outside = (rows < 0) | (rows >= len(public))
+    if outside.any():
+        raise LearnerError(f"bundle index {rows[np.argmax(outside)]} outside public "
+                           f"dataset of size {len(public)}")
+    labels = np.repeat(np.array([e.category for e in bundle.entries], dtype=np.int64),
+                       [len(e) for e in bundle.entries])
     return LabeledDataset(
-        features=public.features[np.array(rows, dtype=np.int64)],
-        labels=np.array(labels, dtype=np.int64),
+        features=public.features[rows],
+        labels=labels,
         provenance=f"pseudolabels:{bundle.owner}",
     )
 

@@ -20,6 +20,7 @@ carried by per-participant train configs is overridden by the derived one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -75,8 +76,8 @@ class UnlabeledSpec:
             raise DomainError(
                 f"unlabeled strategy must be one of {UNLABELED_STRATEGIES}, "
                 f"got {self.strategy!r}")
-        if self.margin < 0:
-            raise DomainError("unlabeled margin must be >= 0")
+        if not 0 <= self.margin < math.inf:
+            raise DomainError("unlabeled margin must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learners import materialize_bundle
+
 
 class TheoryError(ValueError):
     """Parameters outside the calculator's domain."""
@@ -190,15 +192,9 @@ def analyze_round(artifacts, helper_error: float | None = None,
         bundle = artifacts.bundles[i]
         pseudo_size = len(bundle)
         if pseudo_size > 0:
-            rows = []
-            labels = []
-            for entry in bundle.entries:
-                rows.extend(entry.indices)
-                labels.extend([entry.category] * len(entry.indices))
-            fed_preds = artifacts.federated_classifiers[i].predict_batch(
-                artifacts.unlabeled.features[np.array(rows, dtype=np.int64)]
-            )
-            disagreement = float(np.mean(fed_preds != np.array(labels, dtype=np.int64)))
+            pseudo = materialize_bundle(bundle, artifacts.unlabeled)
+            fed_preds = artifacts.federated_classifiers[i].predict_batch(pseudo.features)
+            disagreement = float(np.mean(fed_preds != pseudo.labels))
         else:
             disagreement = 0.0
         params = TheoryParams(

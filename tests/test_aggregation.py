@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,81 @@ class TestBuildBundle:
         assert cleaned[0].indices == (1,)
         assert cleaned[5].indices == ()
         assert cleaned[1].indices == (3,)
+
+
+class TestPseudolabelSet:
+    @pytest.mark.parametrize("indices, message", [
+        ((-1, 2), "non-negative"),
+        ((3, 1), "strictly ascending"),
+        ((1, 1), "strictly ascending"),
+        ((2, 5, 4), "strictly ascending"),
+        ((0, 2 ** 63), "fit in int64"),
+        ((-2 ** 70,), "fit in int64"),
+    ])
+    def test_rejects_bad_indices(self, indices, message):
+        with pytest.raises(AggregationError, match=message):
+            PseudolabelSet(0, indices)
+
+    @pytest.mark.parametrize("indices", [
+        np.array([1, 5, 2 ** 40]),
+        tuple(np.array([1, 5, 2 ** 40])),
+        (1, np.int64(5), 2 ** 40),
+        [1, 5, 2 ** 40],
+    ])
+    def test_stores_python_ints(self, indices):
+        pset = PseudolabelSet(np.int64(3), indices)
+        assert pset.indices == (1, 5, 2 ** 40)
+        assert all(type(i) is int for i in pset.indices)
+        assert type(pset.category) is int
+
+    def test_bundle_overlap_lists_first_five_overlaps_sorted(self):
+        entries = (PseudolabelSet(0, (10, 20, 30, 40, 50, 60)),
+                   PseudolabelSet(1, (5, 10, 20, 30, 60)),
+                   PseudolabelSet(2, (10, 40, 50, 70)))
+        with pytest.raises(AggregationError,
+                           match=r"overlap on indices \[10, 20, 30, 40, 50\]$"):
+            PseudolabelBundle(owner=0, entries=entries)
+
+    def test_bundle_shares_the_admitted_int_objects(self):
+        big = 10 ** 15
+        sets = {0: PseudolabelSet(0, (big, big + 1, big + 2)),
+                1: PseudolabelSet(1, (big + 1, big + 5))}
+        bundle = build_bundle(sets, LabelSpace((0, 1)), owner=0)
+        assert bundle.entries[0].indices == (big, big + 2)
+        assert bundle.entries[0].indices[1] is sets[0].indices[2]
+        assert bundle.entries[1].indices[0] is sets[1].indices[1]
+
+
+def reference_drop_conflicts(families):
+    """Counter-based conflict rule: keep an index only if one set claims it."""
+    counts = Counter(i for indices in families for i in indices)
+    return [tuple(i for i in indices if counts[i] == 1) for indices in families]
+
+
+# Index-set families: possibly empty sets over a small range (many conflicts)
+# or the whole int64 range, under category ids 10^12 apart.
+index_families = st.lists(
+    st.lists(st.one_of(st.integers(0, 30), st.integers(0, 2 ** 63 - 1)),
+             unique=True, max_size=12).map(sorted),
+    min_size=1, max_size=8)
+
+
+@given(index_families, st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_conflict_removal_matches_counter_reference(families, data):
+    categories = [k * 10 ** 12 for k in range(len(families))]
+    sets = {c: PseudolabelSet(c, tuple(indices)) for c, indices in zip(categories, families)}
+    cleaned = remove_global_conflicts(sets)
+    assert list(cleaned) == categories
+    assert [cleaned[c].indices for c in categories] == reference_drop_conflicts(families)
+    # A label space may hold categories nobody admitted anything for.
+    extra = [c + 1 for c in categories]
+    space = data.draw(st.lists(st.sampled_from(categories + extra), min_size=1,
+                               unique=True))
+    bundle = build_bundle(sets, LabelSpace(tuple(space)), owner=3)
+    restricted = [sets[c].indices if c in sets else () for c in sorted(space)]
+    assert [e.category for e in bundle.entries] == sorted(space)
+    assert [e.indices for e in bundle.entries] == reference_drop_conflicts(restricted)
 
 
 # Hypothesis strategies: the structure comes from hypothesis, the bulk vote

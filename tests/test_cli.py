@@ -137,6 +137,14 @@ class TestConfigParsing:
         ("netproto", "bind", "localhost", "netproto: invalid address 'localhost'"),
         ("taxonomy", "feature_dim", 2.5, "taxonomy.feature_dim: expected an integer"),
         ("partition", "superclasses_per_participant", [2], "expected a list of 2 integers"),
+        ("participants", 2, {"learner": "mlp", "config": {"learning_rate": float("nan")}},
+         "participant 2.config: learning_rate must be finite and > 0"),
+        ("participants", 2, {"learner": "mlp", "config": {"learning_rate": float("inf")}},
+         "participant 2.config: learning_rate must be finite and > 0"),
+        ("participants", 0, {"learner": "gnb", "config": {"smoothing": float("nan")}},
+         "participant 0.config: smoothing must be finite and > 0"),
+        ("unlabeled", "margin", float("nan"), "unlabeled: unlabeled margin must be finite"),
+        ("unlabeled", "margin", float("inf"), "unlabeled: unlabeled margin must be finite"),
     ])
     def test_bad_values_name_their_path(self, section, key, value, message):
         doc = base_config()
@@ -408,6 +416,22 @@ class TestServeJoin:
                      *command[1:]])
         assert code == EXIT_CONFIG
         assert f"config error: {manifest}: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, manifest, missing", [
+        (["serve", "--bind", "127.0.0.1:0", "--timeout", "1"],
+         {"participants": []}, "unlabeled"),
+        (["join", "--participant", "0", "--addr", "127.0.0.1:9", "--timeout", "1"],
+         {"participants": [{"label_space": [0, 1], "test": {"file": "t.csv"}}],
+          "unlabeled": {"file": "u.csv"}}, "participants.0.train"),
+    ])
+    def test_manifest_missing_key_is_config_error(self, config_path, tmp_path, capsys,
+                                                  command, manifest, missing):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code = main([command[0], "--config", str(config_path), "--data", str(tmp_path),
+                     *command[1:]])
+        assert code == EXIT_CONFIG
+        assert f"config error: {path}: missing key '{missing}'" in capsys.readouterr().err
 
     def test_serve_timeout_without_clients_exits_4(self, config_path, tmp_path):
         data_dir = tmp_path / "data"

@@ -194,6 +194,17 @@ class TestUpdateTrain:
         assert np.array_equal(data.features[0], public.features[4])
         assert data.provenance == "pseudolabels:2"
 
+    def test_materialize_names_first_out_of_range_index_in_bundle_order(self):
+        public = UnlabeledDataset(np.zeros((5, 2)))
+        bundle = PseudolabelBundle(owner=0, entries=(PseudolabelSet(0, (1, 7)),
+                                                     PseudolabelSet(1, (2, 6))))
+        with pytest.raises(LearnerError,
+                           match="bundle index 7 outside public dataset of size 5"):
+            materialize_bundle(bundle, public)
+        with pytest.raises(LearnerError, match="cannot materialize an empty bundle"):
+            materialize_bundle(PseudolabelBundle(owner=0, entries=(PseudolabelSet(0, ()),)),
+                               public)
+
     def test_correct_pseudolabels_on_unseen_blobs_improve_accuracy(self):
         # A participant sees only the first subclass of each superclass but is
         # tested on all of them; true-labeled public points from the unseen
