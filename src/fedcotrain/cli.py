@@ -55,8 +55,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_PROTOCOL = 4
 
-RUN_MODES = ("in-process", "serve", "join")
-
 
 class ConfigError(ValueError):
     """Schema violation in a run-config document."""
@@ -96,15 +94,10 @@ class RunConfig:
     """Parsed run-config document: the federation plus CLI-level settings."""
 
     federation: FederationConfig = field(metadata=INLINE)
-    mode: str = "in-process"
     output_dir: str | None = field(default=None, metadata=OMIT_IF_NONE)
     sweep_alphas: tuple[float, ...] | None = field(default=None, metadata=OMIT_IF_NONE)
     sweep_sizes: tuple[int, ...] | None = field(default=None, metadata=OMIT_IF_NONE)
     netproto: NetprotoSpec = field(default_factory=NetprotoSpec)
-
-    def __post_init__(self):
-        if self.mode not in RUN_MODES:
-            raise ConfigError(f"mode must be one of {RUN_MODES}, got {self.mode!r}")
 
 
 def _schema(cls) -> list:

@@ -170,11 +170,6 @@ class SubclassTaxonomy:
     def feature_dim(self) -> int:
         return self.subclass_means.shape[1]
 
-    def superclass_of(self, subclass: int) -> int:
-        if not 0 <= subclass < self.n_subclasses:
-            raise DomainError(f"subclass {subclass} outside [0, {self.n_subclasses})")
-        return subclass // self.subclasses_per_superclass
-
     def subclasses_of(self, superclass: int) -> tuple[int, ...]:
         if not 0 <= superclass < self.n_superclasses:
             raise DomainError(f"superclass {superclass} outside [0, {self.n_superclasses})")
@@ -453,17 +448,14 @@ def _format_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def save_csv(dataset: LabeledDataset | UnlabeledDataset, path, header: bool = True,
+def save_csv(dataset: LabeledDataset | UnlabeledDataset, path,
              int_columns: dict[str, np.ndarray] | None = None) -> None:
-    """Write features, then integer columns: a labeled dataset's ``label``,
-    then each of ``int_columns`` (name -> one value per row)."""
+    """Write a header row, then features and integer columns: a labeled
+    dataset's ``label``, then each of ``int_columns`` (name -> one value per row)."""
     path = Path(path)
     columns = {"label": dataset.labels} if isinstance(dataset, LabeledDataset) else {}
     columns.update(int_columns or {})
-    d = dataset.feature_dim
-    lines = []
-    if header:
-        lines.append(",".join([f"f{j}" for j in range(d)] + list(columns)))
+    lines = [",".join([f"f{j}" for j in range(dataset.feature_dim)] + list(columns))]
     for i in range(len(dataset)):
         cells = [_format_float(v) for v in dataset.features[i]]
         cells.extend(str(int(values[i])) for values in columns.values())
@@ -481,8 +473,7 @@ def _parse_cell(text: str, line_no: int, col: int) -> float:
 
 
 def load_csv(path, label_space: LabelSpace | None = None,
-             labeled: bool | None = None,
-             provenance: str | None = None) -> LabeledDataset | UnlabeledDataset:
+             labeled: bool | None = None) -> LabeledDataset | UnlabeledDataset:
     """Load a dataset written by ``save_csv`` (or any rectangular numeric CSV).
 
     A header is detected when the first row has any non-numeric cell; a file
@@ -548,8 +539,7 @@ def load_csv(path, label_space: LabelSpace | None = None,
         else:
             features.append(values)
 
-    name = provenance if provenance is not None else f"file:{path.name}"
     if labeled:
         return LabeledDataset(np.array(features, dtype=np.float64),
-                              np.array(labels, dtype=np.int64), provenance=name)
+                              np.array(labels, dtype=np.int64), provenance=f"file:{path.name}")
     return UnlabeledDataset(np.array(features, dtype=np.float64))

@@ -24,7 +24,12 @@ The round is a barrier: the coordinator aggregates exactly once, after all N
 prediction vectors arrive, then sends each participant only its own bundle. A
 straggler timeout, a duplicate registration of a live participant id, a
 malformed line, or a prediction outside the declared label space aborts or
-rejects per the error contract.
+rejects per the error contract. At most 2N connections may wait for their
+REGISTER line at once; one more is told so in an ERROR and closed.
+
+``join`` runs the same participant step as the in-process round,
+``orchestrator.Participant``: it votes before connecting and retrains once
+the bundle has arrived, so wire and in-process participants agree.
 """
 
 from __future__ import annotations
@@ -40,11 +45,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import CredibilityWeights, PseudolabelBundle, PseudolabelSet
-# Unused here (coordinate() votes); kept as attributes the benchmark tracer wraps.
+# Unused here (coordinate and Participant call them); kept for the benchmark tracer.
 from .aggregation import aggregate, aggregate_weighted, build_bundle, remove_global_conflicts
 from .domain import LabeledDataset, LabelSpace, UnlabeledDataset
-from .learners import TrainConfig, evaluate, pseudolabel, train_local, update_train
-from .orchestrator import coordinate
+from .learners import TrainConfig
+from .learners import evaluate, pseudolabel, train_local, update_train
+from .orchestrator import Participant, coordinate
 
 log = logging.getLogger(__name__)
 
@@ -236,6 +242,7 @@ class Coordinator:
         self._bundles: dict[int, PseudolabelBundle] = {}
         self._pseudo_sets: dict[int, PseudolabelSet] = {}
         self._abort_reason: str | None = None
+        self._awaiting_register = 0
         self._deadline = 0.0
         self.transcript: list = []
         self._barrier = threading.Barrier(settings.n_participants,
@@ -280,7 +287,11 @@ class Coordinator:
                                self._transcript_lock, peer=peer)
         participant = None
         try:
-            register = stream.recv()
+            try:
+                register = stream.recv()
+            finally:
+                with self._lock:
+                    self._awaiting_register -= 1
             if register.v != PROTOCOL_VERSION:
                 stream.try_send_error(
                     f"protocol version mismatch: coordinator speaks {PROTOCOL_VERSION}, "
@@ -368,9 +379,22 @@ class Coordinator:
                     conn, addr = self.listener.accept()
                 except socket.timeout:
                     continue
-                thread = threading.Thread(target=self._handle,
-                                          args=(conn, f"{addr[0]}:{addr[1]}"),
-                                          daemon=True)
+                peer = f"{addr[0]}:{addr[1]}"
+                # room for every participant at once, and as many strays again
+                cap = 2 * self.settings.n_participants
+                with self._lock:
+                    admitted = self._awaiting_register < cap
+                    if admitted:
+                        self._awaiting_register += 1
+                if not admitted:
+                    # a thread would wait up to timeout_s for this REGISTER line
+                    stream = MessageStream(conn, transcript=self.transcript,
+                                           transcript_lock=self._transcript_lock, peer=peer)
+                    stream.try_send_error(f"coordinator busy: {cap} connections already "
+                                          f"awaiting REGISTER")
+                    stream.close()
+                    continue
+                thread = threading.Thread(target=self._handle, args=(conn, peer), daemon=True)
                 thread.start()
                 threads.append(thread)
             else:
@@ -388,13 +412,6 @@ class Coordinator:
         return ServeResult(status="completed", bundles=dict(self._bundles),
                            pseudo_sets=dict(self._pseudo_sets),
                            transcript=self.transcript)
-
-
-def serve(settings: CoordinatorSettings, host: str = "127.0.0.1",
-          port: int = 0) -> ServeResult:
-    coordinator = Coordinator(settings)
-    coordinator.bind(host, port)
-    return coordinator.serve()
 
 
 @dataclass
@@ -426,14 +443,15 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
 
     Training happens entirely locally; only the prediction vector goes up and
     only the index bundle comes back. Raises ProtocolError on version or
-    dataset-hash mismatch, coordinator-reported errors, or connection loss.
+    dataset-hash mismatch, coordinator-reported errors, or connection loss,
+    and RoundError naming the phase when a learner fails.
     """
     if len(train) == 0:
         raise ProtocolError(
             f"participant {participant_id} has an empty local dataset; refusing to register")
 
-    local = train_local(kind, label_space, train, config)
-    vector = pseudolabel(local, public)
+    participant = Participant(participant_id, kind, label_space, train, test, public, config)
+    _, vector = participant.vote()
 
     transcript: list = []
     try:
@@ -478,14 +496,9 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
     finally:
         stream.close()
 
-    baseline = update_train(kind, label_space, train, PseudolabelBundle.empty(participant_id),
-                            public, config)
-    local_accuracy = evaluate(baseline, test)
-    if len(bundle) > 0:
-        federated = update_train(kind, label_space, train, bundle, public, config)
-        federated_accuracy = evaluate(federated, test)
-    else:
-        federated_accuracy = local_accuracy
+    baseline = participant.baseline()
+    local_accuracy = baseline[1]
+    _, federated_accuracy = participant.update(bundle, baseline)
     return JoinResult(
         participant=participant_id,
         bundle=bundle,

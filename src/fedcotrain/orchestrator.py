@@ -7,6 +7,11 @@ hands each participant its conflict-free bundle, and every participant
 retrains from scratch on its own data plus the bundle. The round happens
 exactly once; there is no iterative refinement.
 
+A participant's side of the round is one step, ``Participant``, with three
+callers: ``_prepare`` (every vote, then every baseline) and ``_complete``
+(every update), which ``run_round`` and both sweeps share, and
+``netproto.join``, which votes before it connects and retrains after.
+
 Reported improvement is the ratio of the federated model's test accuracy to
 a local baseline retrained with the same update-phase budget and seed, so
 the difference is attributable to the pseudolabels alone (with an empty
@@ -393,6 +398,61 @@ class RoundError(RuntimeError):
     """A participant failed mid-round; the round aborts."""
 
 
+def _named_phase(action, participant: int, phase: str):
+    try:
+        return action()
+    except Exception as exc:
+        raise RoundError(f"participant {participant} failed during {phase}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class Participant:
+    """One participant's step, the same in-process and over the wire: train
+    locally and vote, then retrain without and with the admitted pseudolabels."""
+
+    index: int
+    learner: str
+    label_space: LabelSpace
+    train: LabeledDataset
+    test: LabeledDataset
+    public: UnlabeledDataset
+    config: TrainConfig
+
+    def vote(self) -> tuple[Classifier, np.ndarray]:
+        """The local model and its label for every public instance."""
+        local = _named_phase(
+            lambda: train_local(self.learner, self.label_space, self.train, self.config),
+            self.index, "local training")
+        return local, _named_phase(lambda: pseudolabel(local, self.public),
+                                   self.index, "pseudolabeling")
+
+    def baseline(self) -> tuple[Classifier, float]:
+        """The empty-bundle retrain, with its test accuracy."""
+        return self._fit(PseudolabelBundle.empty(self.index), "baseline retraining")
+
+    def update(self, bundle: PseudolabelBundle,
+               baseline: tuple[Classifier, float]) -> tuple[Classifier, float]:
+        """The retrain on ``bundle``; with an empty bundle that is ``baseline``."""
+        if len(bundle) == 0:
+            return baseline
+        return self._fit(bundle, "update training")
+
+    def _fit(self, bundle: PseudolabelBundle, phase: str) -> tuple[Classifier, float]:
+        fitted = _named_phase(
+            lambda: update_train(self.learner, self.label_space, self.train, bundle,
+                                 self.public, self.config),
+            self.index, phase)
+        return fitted, _named_phase(lambda: evaluate(fitted, self.test),
+                                    self.index, "evaluation")
+
+
+def _participants(config: FederationConfig, data: RoundData) -> list[Participant]:
+    """The round's participants, each with its derived train config."""
+    return [Participant(i, config.participants[i].learner, shard.label_space, shard.train,
+                        data.test_sets[i], data.unlabeled, participant_train_config(config, i))
+            for i, shard in enumerate(data.shards)]
+
+
 @dataclass
 class _Prepared:
     """Alpha-independent state shared by sweeps: data, local models, votes."""
@@ -401,48 +461,18 @@ class _Prepared:
     data: RoundData
     classifiers: list[Classifier]
     predictions: np.ndarray
-    baselines: list[Classifier]
-    baseline_accuracies: list[float]
+    baselines: list[tuple[Classifier, float]]
 
 
-def _named_phase(action, participant: int, phase: str):
-    try:
-        return action()
-    except Exception as exc:
-        raise RoundError(f"participant {participant} failed during {phase}: {exc}") from exc
-
-
-def _prepare(config: FederationConfig, data: RoundData | None = None) -> _Prepared:
-    if data is None:
-        data = build_round_data(config)
-    classifiers = []
-    rows = []
-    for i, shard in enumerate(data.shards):
-        cfg = participant_train_config(config, i)
-        spec = config.participants[i]
-        clf = _named_phase(
-            lambda: train_local(spec.learner, shard.label_space, shard.train, cfg),
-            i, "local training")
-        classifiers.append(clf)
-        rows.append(_named_phase(lambda: pseudolabel(clf, data.unlabeled),
-                                 i, "pseudolabeling"))
-    predictions = np.vstack(rows)
-
-    baselines = []
-    baseline_accuracies = []
-    for i, shard in enumerate(data.shards):
-        cfg = participant_train_config(config, i)
-        spec = config.participants[i]
-        baseline = _named_phase(
-            lambda: update_train(spec.learner, shard.label_space, shard.train,
-                                 PseudolabelBundle.empty(i), data.unlabeled, cfg),
-            i, "baseline retraining")
-        baselines.append(baseline)
-        baseline_accuracies.append(
-            _named_phase(lambda: evaluate(baseline, data.test_sets[i]), i, "evaluation"))
-    return _Prepared(config=config, data=data, classifiers=classifiers,
-                     predictions=predictions, baselines=baselines,
-                     baseline_accuracies=baseline_accuracies)
+def _prepare(config: FederationConfig) -> _Prepared:
+    # Every participant votes before any baseline is fit, so the first
+    # failure a round names does not depend on the baseline phase.
+    data = build_round_data(config)
+    members = _participants(config, data)
+    votes = [p.vote() for p in members]
+    return _Prepared(config=config, data=data, classifiers=[clf for clf, _ in votes],
+                     predictions=np.vstack([labels for _, labels in votes]),
+                     baselines=[p.baseline() for p in members])
 
 
 def coordinate(predictions: Sequence[np.ndarray], label_spaces: Sequence[LabelSpace],
@@ -473,34 +503,21 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
     pseudo_sets, bundles = coordinate(list(prep.predictions), spaces, alpha, size,
                                       config.weights, config.global_conflict_removal)
 
-    federated = []
-    fed_accuracies = []
-    participant_reports = []
-    for i, shard in enumerate(data.shards):
-        cfg = participant_train_config(config, i)
-        spec = config.participants[i]
-        if len(bundles[i]) > 0:
-            fed = _named_phase(
-                lambda: update_train(spec.learner, shard.label_space, shard.train,
-                                     bundles[i], data.unlabeled, cfg),
-                i, "update training")
-            fed_acc = _named_phase(lambda: evaluate(fed, data.test_sets[i]),
-                                   i, "evaluation")
-        else:
-            fed = prep.baselines[i]
-            fed_acc = prep.baseline_accuracies[i]
-        federated.append(fed)
-        fed_accuracies.append(fed_acc)
-        local_acc = prep.baseline_accuracies[i]
-        participant_reports.append(ParticipantReport(
-            participant=i,
-            learner=spec.learner,
-            train_size=len(shard.train),
-            bundle_size=len(bundles[i]),
+    members = _participants(config, data)
+    federated = [p.update(bundle, baseline)
+                 for p, bundle, baseline in zip(members, bundles, prep.baselines)]
+    participant_reports = tuple(
+        ParticipantReport(
+            participant=p.index,
+            learner=p.learner,
+            train_size=len(p.train),
+            bundle_size=len(bundle),
             local_accuracy=local_acc,
             federated_accuracy=fed_acc,
             relative_accuracy=(fed_acc / local_acc) if local_acc > 0 else None,
-        ))
+        )
+        for p, bundle, (_, local_acc), (_, fed_acc)
+        in zip(members, bundles, prep.baselines, federated))
 
     category_reports = tuple(
         CategoryReport(
@@ -511,7 +528,7 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
         for c in sorted(pseudo_sets)
     )
     report = RoundReport(
-        participants=tuple(participant_reports),
+        participants=participant_reports,
         categories=category_reports,
         alpha=alpha,
         master_seed=config.master_seed,
@@ -526,10 +543,10 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
         pseudo_sets=pseudo_sets,
         bundles=bundles,
         local_classifiers=prep.classifiers,
-        baseline_classifiers=prep.baselines,
-        federated_classifiers=federated,
-        local_accuracies=prep.baseline_accuracies,
-        federated_accuracies=fed_accuracies,
+        baseline_classifiers=[clf for clf, _ in prep.baselines],
+        federated_classifiers=[clf for clf, _ in federated],
+        local_accuracies=[acc for _, acc in prep.baselines],
+        federated_accuracies=[acc for _, acc in federated],
     )
     return RoundResult(report=report, artifacts=artifacts)
 
@@ -580,24 +597,9 @@ def sweep_unlabeled_size(config: FederationConfig,
     prep = _prepare(top_config)
     entries = []
     for s in sizes:
-        sized_config = replace(config, unlabeled=replace(config.unlabeled, size=s))
-        sized_data = RoundData(
-            pool=prep.data.pool,
-            taxonomy=prep.data.taxonomy,
-            shards=prep.data.shards,
-            test_sets=prep.data.test_sets,
-            test_rows=prep.data.test_rows,
-            unlabeled=prep.data.unlabeled.prefix(s),
-            used_subclasses=prep.data.used_subclasses,
-        )
-        sized_prep = _Prepared(
-            config=sized_config,
-            data=sized_data,
-            classifiers=prep.classifiers,
-            predictions=prep.predictions[:, :s],
-            baselines=prep.baselines,
-            baseline_accuracies=prep.baseline_accuracies,
-        )
-        result = _complete(sized_prep, config.alpha)
-        entries.append((s, result.report))
+        sized = replace(prep,
+                        config=replace(config, unlabeled=replace(config.unlabeled, size=s)),
+                        data=replace(prep.data, unlabeled=prep.data.unlabeled.prefix(s)),
+                        predictions=prep.predictions[:, :s])
+        entries.append((s, _complete(sized, config.alpha).report))
     return entries

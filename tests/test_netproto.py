@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedcotrain as fc
+import fedcotrain.netproto as netproto
+import fedcotrain.orchestrator as orch
 from fedcotrain.aggregation import aggregate, build_bundle
 from fedcotrain.netproto import (
     MESSAGE_SCHEMAS,
@@ -22,7 +25,12 @@ from fedcotrain.netproto import (
     join,
     validate_message,
 )
-from fedcotrain.orchestrator import build_round_data, participant_train_config, run_round
+from fedcotrain.orchestrator import (
+    RoundError,
+    build_round_data,
+    participant_train_config,
+    run_round,
+)
 
 
 def small_config(n=3, m=60, alpha=0.3, seed=2):
@@ -196,34 +204,38 @@ class TestRound:
         assert result.bundle == expected
 
     def test_three_clients_match_in_process_round(self):
-        config = small_config(n=3)
-        data = build_round_data(config)
-        coordinator, address, thread, box = start_coordinator(settings_for(config, data))
-        results = {}
-        errors = []
+        # alpha 1.0 admits nothing: both paths take the empty-bundle shortcut
+        for alpha in (0.3, 1.0):
+            config = small_config(n=3, alpha=alpha)
+            data = build_round_data(config)
+            coordinator, address, thread, box = start_coordinator(settings_for(config, data))
+            results = {}
+            errors = []
 
-        def client(i):
-            try:
-                results[i] = join_participant(config, data, i, address)
-            except Exception as exc:
-                errors.append((i, exc))
+            def client(i):
+                try:
+                    results[i] = join_participant(config, data, i, address)
+                except Exception as exc:
+                    errors.append((i, exc))
 
-        clients = [threading.Thread(target=client, args=(i,)) for i in range(3)]
-        for t in clients:
-            t.start()
-        for t in clients:
-            t.join(timeout=60)
-        thread.join(timeout=60)
-        assert not errors
-        assert box["result"].status == "completed"
+            clients = [threading.Thread(target=client, args=(i,)) for i in range(3)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=60)
+            thread.join(timeout=60)
+            assert not errors
+            assert box["result"].status == "completed"
 
-        in_process = run_round(config)
-        for i, p in enumerate(in_process.report.participants):
-            assert results[i].bundle == in_process.artifacts.bundles[i]
-            assert results[i].local_accuracy == p.local_accuracy
-            assert results[i].federated_accuracy == p.federated_accuracy
-        for i, bundle in box["result"].bundles.items():
-            assert bundle == in_process.artifacts.bundles[i]
+            in_process = run_round(config)
+            for i, p in enumerate(in_process.report.participants):
+                assert results[i].bundle == in_process.artifacts.bundles[i]
+                assert results[i].local_accuracy == p.local_accuracy
+                assert results[i].federated_accuracy == p.federated_accuracy
+            for i, bundle in box["result"].bundles.items():
+                assert bundle == in_process.artifacts.bundles[i]
+        assert all(len(r.bundle) == 0 and r.federated_accuracy == r.local_accuracy
+                   for r in results.values())
 
     def test_transcripts_validate_and_carry_no_floats(self):
         config = small_config(n=1)
@@ -387,6 +399,82 @@ class TestErrors:
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
         with pytest.raises(ProtocolError, match="hash mismatch"):
             join_participant(config, data, 0, address, sha="0" * 64)
+        coordinator._abort("test cleanup")
+        thread.join(timeout=10)
+
+    def test_learner_failure_names_participant_before_connecting(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("synthetic failure")
+
+        def connect(*args, **kwargs):
+            raise AssertionError("join connected before its local training")
+
+        monkeypatch.setattr(orch, "train_local", fail)
+        monkeypatch.setattr(netproto.socket, "create_connection", connect)
+        config = small_config(n=2)
+        data = build_round_data(config)
+        with pytest.raises(RoundError, match="participant 1 failed during local training: "
+                                             "synthetic failure"):
+            join_participant(config, data, 1, ("127.0.0.1", 1))
+
+    def test_connections_awaiting_register_are_capped(self):
+        config = small_config(n=2)
+        data = build_round_data(config)
+        coordinator, address, thread, box = start_coordinator(settings_for(config, data))
+        idle = [RawClient(address) for _ in range(4)]
+        started = time.monotonic()
+        over = RawClient(address)
+        reply = over.recv()
+        assert time.monotonic() - started < 5
+        assert reply == {"v": 1, "kind": "ERROR", "payload": {
+            "text": "coordinator busy: 4 connections already awaiting REGISTER"}}
+        over.close()
+        for raw in idle:
+            # the coordinator frees the slot before it answers the closed stream
+            raw.sock.shutdown(socket.SHUT_WR)
+            assert raw.recv()["kind"] == "ERROR"
+            raw.close()
+
+        results = {}
+        clients = [threading.Thread(
+            target=lambda i=i: results.update({i: join_participant(config, data, i, address)}))
+            for i in range(2)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60)
+        thread.join(timeout=60)
+        assert box["result"].status == "completed"
+        assert sorted(results) == [0, 1]
+
+    def test_awaiting_register_count_survives_concurrent_connections(self):
+        # more threads than cores open and drop connections at once; a lost
+        # update to the coordinator's count would leave it off zero
+        config = small_config(n=3)
+        data = build_round_data(config)
+        coordinator, address, thread, box = start_coordinator(settings_for(config, data))
+        replies = []
+
+        def churn():
+            for _ in range(5):
+                raw = RawClient(address)
+                raw.sock.shutdown(socket.SHUT_WR)
+                replies.append(raw.recv()["kind"])
+                raw.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert replies == ["ERROR"] * 40
+        assert coordinator._awaiting_register == 0
         coordinator._abort("test cleanup")
         thread.join(timeout=10)
 
