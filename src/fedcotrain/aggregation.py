@@ -27,15 +27,14 @@ from all of them so the bundle never carries contradictory labels. One sort
 finds the repeats: the sets' indices are concatenated and argsorted, equal
 neighbours in sorted order are marked, and the mark is scattered back to each
 set. A bundle checks that its entries are disjoint with the same rule.
-Index sets hold their indices as a tuple of Python ints; the array work runs
-on temporary int64 copies, and a set with dropped indices keeps the kept int
-objects of the set it came from.
+An index set holds its indices as a read-only, one-dimensional int64 array,
+from the vote to the wire: the sort, the conflict masks and the bundle's
+rows work on it directly, and only the JSON boundary turns it into a list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,29 +46,37 @@ class AggregationError(ValueError):
     """Malformed votes, weights, or threshold."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudolabelSet:
-    """Admitted public-dataset indices for one category."""
+    """Admitted public-dataset indices for one category.
+
+    ``indices`` is stored as a read-only 1-D int64 array copied from the
+    given sequence. Two sets are equal when their categories and indices are;
+    sets are not hashable.
+    """
 
     category: int
-    indices: tuple[int, ...]
+    indices: np.ndarray
 
     def __post_init__(self):
-        idx = tuple(self.indices)
         try:
-            values = np.fromiter(idx, dtype=np.int64, count=len(idx))
+            values = np.array(self.indices, dtype=np.int64)
         except OverflowError:
             raise AggregationError("indices must fit in int64") from None
+        if values.ndim != 1:
+            raise AggregationError(f"indices must be one-dimensional, got shape {values.shape}")
         if (values < 0).any():
             raise AggregationError("indices must be non-negative")
         if (values[1:] <= values[:-1]).any():
             raise AggregationError("indices must be strictly ascending")
-        # Keep exact ints as they are (bundles share them with the admitted
-        # sets); anything else, numpy ints included, is stored as Python int.
-        if idx and set(map(type, idx)) != {int}:
-            idx = tuple(values.tolist())
-        object.__setattr__(self, "indices", idx)
+        values.flags.writeable = False
+        object.__setattr__(self, "indices", values)
         object.__setattr__(self, "category", int(self.category))
+
+    def __eq__(self, other):
+        if not isinstance(other, PseudolabelSet):
+            return NotImplemented
+        return self.category == other.category and np.array_equal(self.indices, other.indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -149,7 +156,7 @@ def _validate_votes(predictions: Sequence[np.ndarray],
     union = np.array(category_union(label_spaces), dtype=np.int64)
     owned = np.zeros((len(label_spaces), len(union)), dtype=bool)
     for i, space in enumerate(label_spaces):
-        owned[i, np.searchsorted(union, np.fromiter(space, dtype=np.int64))] = True
+        owned[i, np.searchsorted(union, np.array(space.categories, dtype=np.int64))] = True
     dense = np.empty((len(predictions), size), dtype=np.int32)
     for i, vector in enumerate(predictions):
         row = np.asarray(vector, dtype=np.int64)
@@ -233,8 +240,7 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
     order = np.argsort(cats, kind="stable")
     per_category = np.split(np.concatenate(hit_indices)[order],
                             np.cumsum(np.bincount(cats, minlength=n_cat))[:-1])
-    return {c: PseudolabelSet(c, tuple(indices.tolist()))
-            for c, indices in zip(union.tolist(), per_category)}
+    return {c: PseudolabelSet(c, indices) for c, indices in zip(union.tolist(), per_category)}
 
 
 def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +250,7 @@ def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray
     marks every shared occurrence, and the shared indices in ascending order
     (an index shared by k sets appears k - 1 times).
     """
-    flat = np.fromiter(chain.from_iterable(e.indices for e in entries), dtype=np.int64,
-                       count=sum(len(e) for e in entries))
+    flat = np.concatenate([e.indices for e in entries]) if entries else np.empty(0, np.int64)
     order = np.argsort(flat, kind="stable")
     ordered = flat[order]
     same = ordered[1:] == ordered[:-1]
@@ -265,8 +270,7 @@ def _drop_conflicts(entries: Sequence[PseudolabelSet]) -> list[PseudolabelSet]:
         hi = lo + len(entry)
         drop = mask[lo:hi]
         if drop.any():
-            entry = PseudolabelSet(entry.category,
-                                   tuple(compress(entry.indices, (~drop).tolist())))
+            entry = PseudolabelSet(entry.category, entry.indices[~drop])
         out.append(entry)
         lo = hi
     return out
@@ -286,6 +290,6 @@ def build_bundle(pseudo_sets: Mapping[int, PseudolabelSet], label_space: LabelSp
     with a category outside ``label_space`` is kept, because the owner never
     sees that competing claim.
     """
-    restricted = [pseudo_sets.get(category, PseudolabelSet(category, ()))
-                  for category in sorted(label_space)]
+    restricted = [pseudo_sets[category] if category in pseudo_sets
+                  else PseudolabelSet(category, ()) for category in sorted(label_space)]
     return PseudolabelBundle(owner=owner, entries=tuple(_drop_conflicts(restricted)))

@@ -35,6 +35,7 @@ from .netproto import (
     DEFAULT_COORDINATOR_TIMEOUT,
     DEFAULT_MAX_LINE,
     ProtocolError,
+    entries_payload,
     file_sha256,
     join as netproto_join,
 )
@@ -338,14 +339,15 @@ def _dump_artifacts(artifacts, out: Path) -> None:
     for i, row in enumerate(artifacts.predictions):
         records.append({"record": "predictions", "participant": i,
                         "labels": [int(v) for v in row]})
-    for category, pset in sorted(artifacts.pseudo_sets.items()):
-        records.append({"record": "pseudolabel_set", "category": int(category),
-                        "indices": list(pset.indices)})
-    for bundle in artifacts.bundles:
-        records.append({"record": "bundle", "participant": bundle.owner,
-                        "entries": [{"category": e.category, "indices": list(e.indices)}
-                                    for e in bundle.entries]})
+    pseudo_sets = [artifacts.pseudo_sets[c] for c in sorted(artifacts.pseudo_sets)]
+    records += [{"record": "pseudolabel_set", **entry} for entry in entries_payload(pseudo_sets)]
+    records += [_bundle_record(bundle) for bundle in artifacts.bundles]
     _write_jsonl(out / "artifacts.jsonl", records)
+
+
+def _bundle_record(bundle) -> dict:
+    return {"record": "bundle", "participant": bundle.owner,
+            "entries": entries_payload(bundle.entries)}
 
 
 def _emit_report(report, out: Path, fmt: str) -> None:
@@ -464,13 +466,8 @@ def cmd_serve(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_jsonl(out / "transcript.jsonl", result.transcript)
-        bundle_records = [{
-            "record": "bundle",
-            "participant": owner,
-            "entries": [{"category": e.category, "indices": list(e.indices)}
-                        for e in bundle.entries],
-        } for owner, bundle in sorted(result.bundles.items())]
-        _write_jsonl(out / "bundles.jsonl", bundle_records)
+        _write_jsonl(out / "bundles.jsonl",
+                     [_bundle_record(result.bundles[i]) for i in sorted(result.bundles)])
     print(f"round {result.status}")
     return EXIT_OK if result.status == "completed" else EXIT_PROTOCOL
 

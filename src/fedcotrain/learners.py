@@ -310,8 +310,7 @@ def materialize_bundle(bundle: PseudolabelBundle, public: UnlabeledDataset) -> L
     """
     if len(bundle) == 0:
         raise LearnerError("cannot materialize an empty bundle")
-    rows = np.concatenate([np.fromiter(e.indices, dtype=np.int64, count=len(e))
-                           for e in bundle.entries])
+    rows = np.concatenate([e.indices for e in bundle.entries])
     outside = (rows < 0) | (rows >= len(public))
     if outside.any():
         raise LearnerError(f"bundle index {rows[np.argmax(outside)]} outside public "

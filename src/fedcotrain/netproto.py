@@ -25,7 +25,9 @@ prediction vectors arrive, then sends each participant only its own bundle. A
 straggler timeout, a duplicate registration of a live participant id, a
 malformed line, or a prediction outside the declared label space aborts or
 rejects per the error contract. At most 2N connections may wait for their
-REGISTER line at once; one more is told so in an ERROR and closed.
+REGISTER line at once; one more is told so in an ERROR and closed. Once the
+round has completed or aborted, every connection still being read from is
+told so in an ERROR and closed, so ``serve`` returns without waiting for it.
 
 ``join`` runs the same participant step as the in-process round,
 ``orchestrator.Participant``: it votes before connecting and retrains once
@@ -41,6 +43,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -212,19 +215,14 @@ class ServeResult:
     transcript: list = field(default_factory=list)
 
 
-def _bundle_payload(bundle: PseudolabelBundle) -> dict:
-    return {
-        "participant_id": bundle.owner,
-        "entries": [{"category": e.category, "indices": list(e.indices)}
-                    for e in bundle.entries],
-    }
+def entries_payload(sets: Iterable[PseudolabelSet]) -> list[dict]:
+    """The JSON form of index sets: a BUNDLE's entries, one dumped record each."""
+    return [{"category": s.category, "indices": s.indices.tolist()} for s in sets]
 
 
 def bundle_from_payload(payload: dict) -> PseudolabelBundle:
-    entries = tuple(
-        PseudolabelSet(item["category"], tuple(item["indices"]))
-        for item in payload["entries"]
-    )
+    entries = tuple(PseudolabelSet(item["category"], item["indices"])
+                    for item in payload["entries"])
     return PseudolabelBundle(owner=payload["participant_id"], entries=entries)
 
 
@@ -243,6 +241,8 @@ class Coordinator:
         self._pseudo_sets: dict[int, PseudolabelSet] = {}
         self._abort_reason: str | None = None
         self._awaiting_register = 0
+        self._open: set[socket.socket] = set()
+        self._over = False
         self._deadline = 0.0
         self.transcript: list = []
         self._barrier = threading.Barrier(settings.n_participants,
@@ -333,7 +333,7 @@ class Coordinator:
                 raise ProtocolError(
                     f"prediction vector length {len(labels)} != announced "
                     f"{self.settings.unlabeled_size}")
-            outside = np.setdiff1d(labels, np.fromiter(space, dtype=np.int64))
+            outside = np.setdiff1d(labels, np.array(space.categories, dtype=np.int64))
             if len(outside):
                 raise ProtocolError(
                     f"participant {pid} predicted categories {outside.tolist()[:5]} "
@@ -343,12 +343,20 @@ class Coordinator:
 
             remaining = max(self._deadline - time.monotonic(), 0.01)
             self._barrier.wait(timeout=remaining)
-            stream.send(Message("BUNDLE", _bundle_payload(self._bundles[pid])))
+            entries = entries_payload(self._bundles[pid].entries)
+            stream.send(Message("BUNDLE", {"participant_id": pid, "entries": entries}))
             stream.send(Message("BYE", {}))
         except threading.BrokenBarrierError:
             reason = self._abort_reason or "timed out waiting for stragglers"
             stream.try_send_error(f"round aborted: {reason}")
         except (ProtocolError, socket.timeout, OSError, ValueError) as exc:
+            reason = self._abort_reason
+            if self._over and (reason is not None or participant is None):
+                # serve ended this read: the round aborted, or it completed without
+                # this unregistered connection (a registered one's failure aborts)
+                stream.try_send_error(f"round aborted: {reason}" if reason is not None
+                                      else "round already completed")
+                return
             stream.try_send_error(str(exc))
             if participant is not None:
                 # a registered participant failed: the round cannot complete
@@ -361,7 +369,19 @@ class Coordinator:
             stream.try_send_error(reason)
             self._abort(reason)
         finally:
-            stream.close()
+            with self._lock:
+                self._open.discard(conn)
+                stream.close()
+
+    def _end_reads(self):
+        """Wake every handler still blocked on a read once the round is over."""
+        with self._lock:
+            self._over = True
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
 
     def serve(self) -> ServeResult:
         """Accept connections and run the round to completion or abort."""
@@ -386,6 +406,7 @@ class Coordinator:
                     admitted = self._awaiting_register < cap
                     if admitted:
                         self._awaiting_register += 1
+                        self._open.add(conn)
                 if not admitted:
                     # a thread would wait up to timeout_s for this REGISTER line
                     stream = MessageStream(conn, transcript=self.transcript,
@@ -399,6 +420,7 @@ class Coordinator:
                 threads.append(thread)
             else:
                 self._abort("timed out waiting for stragglers")
+            self._end_reads()
             for thread in threads:
                 thread.join(timeout=self.settings.timeout_s)
         finally:
@@ -451,7 +473,7 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
             f"participant {participant_id} has an empty local dataset; refusing to register")
 
     participant = Participant(participant_id, kind, label_space, train, test, public, config)
-    _, vector = participant.vote()
+    vector = participant.vote()
 
     transcript: list = []
     try:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -301,25 +301,8 @@ class RoundReport:
         return float(np.mean(ratios)) if ratios else None
 
     def to_records(self) -> list[dict]:
-        records = []
-        for p in self.participants:
-            records.append({
-                "record": "participant",
-                "participant": p.participant,
-                "learner": p.learner,
-                "train_size": p.train_size,
-                "bundle_size": p.bundle_size,
-                "local_accuracy": p.local_accuracy,
-                "federated_accuracy": p.federated_accuracy,
-                "relative_accuracy": p.relative_accuracy,
-            })
-        for c in self.categories:
-            records.append({
-                "record": "category",
-                "category": c.category,
-                "owner_count": c.owner_count,
-                "pseudolabel_count": c.pseudolabel_count,
-            })
+        records = [{"record": "participant", **asdict(p)} for p in self.participants]
+        records += [{"record": "category", **asdict(c)} for c in self.categories]
         records.append({
             "record": "summary",
             "alpha": self.alpha,
@@ -349,13 +332,9 @@ class RoundReport:
                 f"{p.local_accuracy:>8.4f} {p.federated_accuracy:>8.4f} {ratio:>8}"
             )
         mean_ratio = self.mean_relative_accuracy
-        lines.append(
-            f"mean local={self.mean_local_accuracy:.4f} "
-            f"fed={self.mean_federated_accuracy:.4f} "
-            f"ratio={mean_ratio:.4f}" if mean_ratio is not None else
-            f"mean local={self.mean_local_accuracy:.4f} "
-            f"fed={self.mean_federated_accuracy:.4f} ratio=n/a"
-        )
+        lines.append(f"mean local={self.mean_local_accuracy:.4f} "
+                     f"fed={self.mean_federated_accuracy:.4f} ratio="
+                     + (f"{mean_ratio:.4f}" if mean_ratio is not None else "n/a"))
         lines.append(
             f"alpha={self.alpha} mode={self.mode} seed={self.master_seed} "
             f"unlabeled={self.unlabeled_size} total_pseudolabels={self.total_pseudolabels}"
@@ -373,8 +352,6 @@ class RoundArtifacts:
     predictions: np.ndarray
     pseudo_sets: dict[int, PseudolabelSet]
     bundles: list[PseudolabelBundle]
-    local_classifiers: list[Classifier]
-    baseline_classifiers: list[Classifier]
     federated_classifiers: list[Classifier]
     local_accuracies: list[float]
     federated_accuracies: list[float]
@@ -418,13 +395,13 @@ class Participant:
     public: UnlabeledDataset
     config: TrainConfig
 
-    def vote(self) -> tuple[Classifier, np.ndarray]:
-        """The local model and its label for every public instance."""
+    def vote(self) -> np.ndarray:
+        """Train the local model and return its label for every public instance."""
         local = _named_phase(
             lambda: train_local(self.learner, self.label_space, self.train, self.config),
             self.index, "local training")
-        return local, _named_phase(lambda: pseudolabel(local, self.public),
-                                   self.index, "pseudolabeling")
+        return _named_phase(lambda: pseudolabel(local, self.public), self.index,
+                            "pseudolabeling")
 
     def baseline(self) -> tuple[Classifier, float]:
         """The empty-bundle retrain, with its test accuracy."""
@@ -455,11 +432,11 @@ def _participants(config: FederationConfig, data: RoundData) -> list[Participant
 
 @dataclass
 class _Prepared:
-    """Alpha-independent state shared by sweeps: data, local models, votes."""
+    """Alpha-independent state shared by sweeps: the data, every participant's
+    vote (one row each) and its empty-bundle baseline (classifier, accuracy)."""
 
     config: FederationConfig
     data: RoundData
-    classifiers: list[Classifier]
     predictions: np.ndarray
     baselines: list[tuple[Classifier, float]]
 
@@ -469,9 +446,8 @@ def _prepare(config: FederationConfig) -> _Prepared:
     # failure a round names does not depend on the baseline phase.
     data = build_round_data(config)
     members = _participants(config, data)
-    votes = [p.vote() for p in members]
-    return _Prepared(config=config, data=data, classifiers=[clf for clf, _ in votes],
-                     predictions=np.vstack([labels for _, labels in votes]),
+    predictions = np.vstack([p.vote() for p in members])
+    return _Prepared(config=config, data=data, predictions=predictions,
                      baselines=[p.baseline() for p in members])
 
 
@@ -542,8 +518,6 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
         predictions=prep.predictions,
         pseudo_sets=pseudo_sets,
         bundles=bundles,
-        local_classifiers=prep.classifiers,
-        baseline_classifiers=[clf for clf, _ in prep.baselines],
         federated_classifiers=[clf for clf, _ in federated],
         local_accuracies=[acc for _, acc in prep.baselines],
         federated_accuracies=[acc for _, acc in federated],

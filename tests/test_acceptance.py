@@ -81,11 +81,11 @@ def test_a1_aggregation_oracle_equivalence():
     for case in range(1000):
         predictions, spaces, size = random_vote_problem(rng)
         alpha = alphas[case % len(alphas)]
-        plain = {c: s.indices for c, s in
+        plain = {c: tuple(s.indices.tolist()) for c, s in
                  aggregate(predictions, spaces, alpha, size).items()}
         assert plain == oracle_recount(predictions, spaces, alpha, size)
         weights = CredibilityWeights(tuple(0.25 + rng.random(len(spaces))))
-        weighted = {c: s.indices for c, s in
+        weighted = {c: tuple(s.indices.tolist()) for c, s in
                     aggregate_weighted(predictions, spaces, weights, alpha, size).items()}
         assert weighted == oracle_recount(predictions, spaces, alpha, size,
                                           weights=weights.values)
@@ -278,7 +278,7 @@ def test_a6_wire_matches_in_process(wire_round):
     served_bundles = (wire_round["tmp"] / "served" / "bundles.jsonl").read_text()
     expected_bundles = "".join(
         json.dumps({"record": "bundle", "participant": b.owner,
-                    "entries": [{"category": e.category, "indices": list(e.indices)}
+                    "entries": [{"category": e.category, "indices": e.indices.tolist()}
                                 for e in b.entries]}, sort_keys=True) + "\n"
         for b in in_process.artifacts.bundles)
     bundles_identical = served_bundles == expected_bundles

@@ -39,8 +39,12 @@ def oracle_aggregate(predictions, label_spaces, alpha, size, weights=None):
     return out
 
 
+def indices_of(pset):
+    return tuple(pset.indices.tolist())
+
+
 def as_plain(result):
-    return {c: s.indices for c, s in result.items()}
+    return {c: indices_of(s) for c, s in result.items()}
 
 
 SPACES3 = [LabelSpace((0, 1)), LabelSpace((1, 2)), LabelSpace((0, 2))]
@@ -57,7 +61,7 @@ class TestAggregate:
         preds = [np.array([0] * 8), np.array([0] * 8), np.array([0] * 8)]
         preds[1][7] = 5
         result = aggregate(preds, spaces, alpha=0.0, size=8)
-        assert result[5].indices == (7,)
+        assert indices_of(result[5]) == (7,)
 
     def test_handwritten_three_by_four(self):
         # Frozen from the exhaustive recount oracle on these vectors.
@@ -124,10 +128,10 @@ class TestAggregateWeighted:
         weights = CredibilityWeights((0.0, 1.0, 1.0))
         result = aggregate_weighted(preds, spaces, weights, alpha=0.4, size=2)
         # participant 0's lone vote for category 1 carries no mass
-        assert result[1].indices == ()
+        assert indices_of(result[1]) == ()
         heavier = aggregate_weighted(preds, spaces, CredibilityWeights((5.0, 1.0, 1.0)),
                                      alpha=0.4, size=2)
-        assert heavier[1].indices == (0,)
+        assert indices_of(heavier[1]) == (0,)
 
     def test_weighted_threshold_boundary_case(self):
         # Owners of the category weigh 2+1+1 = 4; only the weight-2 one votes:
@@ -136,7 +140,7 @@ class TestAggregateWeighted:
         preds = [np.array([9]), np.array([0]), np.array([0])]
         weights = CredibilityWeights((2.0, 1.0, 1.0))
         result = aggregate_weighted(preds, spaces, weights, alpha=0.5, size=1)
-        assert result[9].indices == ()
+        assert indices_of(result[9]) == ()
         assert as_plain(result) == oracle_aggregate(preds, spaces, 0.5, 1,
                                                     weights=weights.values)
 
@@ -177,7 +181,7 @@ class TestBuildBundle:
         sets = {0: PseudolabelSet(0, (1, 2)), 1: PseudolabelSet(1, (2, 3))}
         bundle = build_bundle(sets, LabelSpace((0, 1)), owner=7)
         assert bundle.owner == 7
-        assert {e.category: e.indices for e in bundle.entries} == {0: (1,), 1: (3,)}
+        assert {e.category: indices_of(e) for e in bundle.entries} == {0: (1,), 1: (3,)}
 
     def test_conflict_scoped_to_own_space(self):
         # index 2 is claimed by category 5 as well, but 5 is outside the
@@ -186,12 +190,12 @@ class TestBuildBundle:
                 1: PseudolabelSet(1, (3,)),
                 5: PseudolabelSet(5, (2,))}
         bundle = build_bundle(sets, LabelSpace((0, 1)), owner=0)
-        assert {e.category: e.indices for e in bundle.entries} == {0: (1, 2), 1: (3,)}
+        assert {e.category: indices_of(e) for e in bundle.entries} == {0: (1, 2), 1: (3,)}
 
     def test_disjoint_inputs_pass_through(self):
         sets = {0: PseudolabelSet(0, (0, 4)), 2: PseudolabelSet(2, (1,))}
         bundle = build_bundle(sets, LabelSpace((0, 2)), owner=1)
-        assert {e.category: e.indices for e in bundle.entries} == {0: (0, 4), 2: (1,)}
+        assert {e.category: indices_of(e) for e in bundle.entries} == {0: (0, 4), 2: (1,)}
 
     def test_missing_categories_become_empty_entries(self):
         bundle = build_bundle({}, LabelSpace((3, 8)), owner=0)
@@ -208,9 +212,9 @@ class TestBuildBundle:
                 1: PseudolabelSet(1, (3,)),
                 5: PseudolabelSet(5, (2,))}
         cleaned = remove_global_conflicts(sets)
-        assert cleaned[0].indices == (1,)
-        assert cleaned[5].indices == ()
-        assert cleaned[1].indices == (3,)
+        assert indices_of(cleaned[0]) == (1,)
+        assert indices_of(cleaned[5]) == ()
+        assert indices_of(cleaned[1]) == (3,)
 
 
 class TestPseudolabelSet:
@@ -221,6 +225,8 @@ class TestPseudolabelSet:
         ((2, 5, 4), "strictly ascending"),
         ((0, 2 ** 63), "fit in int64"),
         ((-2 ** 70,), "fit in int64"),
+        (((1, 2), (3, 4)), "one-dimensional"),
+        (7, "one-dimensional"),
     ])
     def test_rejects_bad_indices(self, indices, message):
         with pytest.raises(AggregationError, match=message):
@@ -232,11 +238,21 @@ class TestPseudolabelSet:
         (1, np.int64(5), 2 ** 40),
         [1, 5, 2 ** 40],
     ])
-    def test_stores_python_ints(self, indices):
+    def test_stores_a_read_only_int64_array(self, indices):
         pset = PseudolabelSet(np.int64(3), indices)
-        assert pset.indices == (1, 5, 2 ** 40)
-        assert all(type(i) is int for i in pset.indices)
+        assert isinstance(pset.indices, np.ndarray)
+        assert pset.indices.dtype == np.int64 and pset.indices.ndim == 1
+        assert not pset.indices.flags.writeable
+        assert pset.indices.tolist() == [1, 5, 2 ** 40]
         assert type(pset.category) is int
+
+    def test_equal_by_category_and_indices_and_unhashable(self):
+        assert PseudolabelSet(2, (1, 4)) == PseudolabelSet(2, np.array([1, 4]))
+        assert PseudolabelSet(2, (1, 4)) != PseudolabelSet(3, (1, 4))
+        assert PseudolabelSet(2, (1, 4)) != PseudolabelSet(2, (1, 5))
+        assert PseudolabelSet(2, ()) != PseudolabelSet(2, (1,))
+        with pytest.raises(TypeError):
+            hash(PseudolabelSet(2, (1, 4)))
 
     def test_bundle_overlap_lists_first_five_overlaps_sorted(self):
         entries = (PseudolabelSet(0, (10, 20, 30, 40, 50, 60)),
@@ -245,15 +261,6 @@ class TestPseudolabelSet:
         with pytest.raises(AggregationError,
                            match=r"overlap on indices \[10, 20, 30, 40, 50\]$"):
             PseudolabelBundle(owner=0, entries=entries)
-
-    def test_bundle_shares_the_admitted_int_objects(self):
-        big = 10 ** 15
-        sets = {0: PseudolabelSet(0, (big, big + 1, big + 2)),
-                1: PseudolabelSet(1, (big + 1, big + 5))}
-        bundle = build_bundle(sets, LabelSpace((0, 1)), owner=0)
-        assert bundle.entries[0].indices == (big, big + 2)
-        assert bundle.entries[0].indices[1] is sets[0].indices[2]
-        assert bundle.entries[1].indices[0] is sets[1].indices[1]
 
 
 def reference_drop_conflicts(families):
@@ -277,15 +284,15 @@ def test_property_conflict_removal_matches_counter_reference(families, data):
     sets = {c: PseudolabelSet(c, tuple(indices)) for c, indices in zip(categories, families)}
     cleaned = remove_global_conflicts(sets)
     assert list(cleaned) == categories
-    assert [cleaned[c].indices for c in categories] == reference_drop_conflicts(families)
+    assert [indices_of(cleaned[c]) for c in categories] == reference_drop_conflicts(families)
     # A label space may hold categories nobody admitted anything for.
     extra = [c + 1 for c in categories]
     space = data.draw(st.lists(st.sampled_from(categories + extra), min_size=1,
                                unique=True))
     bundle = build_bundle(sets, LabelSpace(tuple(space)), owner=3)
-    restricted = [sets[c].indices if c in sets else () for c in sorted(space)]
+    restricted = [indices_of(sets[c]) if c in sets else () for c in sorted(space)]
     assert [e.category for e in bundle.entries] == sorted(space)
-    assert [e.indices for e in bundle.entries] == reference_drop_conflicts(restricted)
+    assert [indices_of(e) for e in bundle.entries] == reference_drop_conflicts(restricted)
 
 
 # Hypothesis strategies: the structure comes from hypothesis, the bulk vote

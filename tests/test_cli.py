@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import socket
@@ -259,6 +260,15 @@ class TestRun:
 
         for record in records:
             assert only_ints(record)
+
+    def test_dump_artifacts_bytes_are_pinned(self, config_path, tmp_path):
+        # Frozen while index sets were tuples of Python ints: the JSON bytes of
+        # the votes, admitted sets and bundles must not depend on their
+        # in-memory form. This config admits empty sets and drops conflicts.
+        out = tmp_path / "o"
+        main(["run", "--config", str(config_path), "--out", str(out), "--dump-artifacts"])
+        digest = hashlib.sha256((out / "artifacts.jsonl").read_bytes()).hexdigest()
+        assert digest == "e81ce84dacfc4c794cfd0eb5a1fa9f89834f81ac7329f29843129d56233b08f2"
 
     def test_env_var_out_root(self, config_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

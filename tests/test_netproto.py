@@ -447,6 +447,24 @@ class TestErrors:
         assert box["result"].status == "completed"
         assert sorted(results) == [0, 1]
 
+    def test_idle_connection_does_not_hold_back_a_completed_round(self):
+        config = small_config(n=1)
+        data = build_round_data(config)
+        coordinator, address, thread, box = start_coordinator(
+            settings_for(config, data, timeout_s=6.0))
+        idle = RawClient(address)
+        join_participant(config, data, 0, address)
+        joined = time.monotonic()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert time.monotonic() - joined < 2
+        assert box["result"].status == "completed"
+        # serve has ended the idle connection's handler: it said why and closed
+        assert idle.recv() == {"v": 1, "kind": "ERROR",
+                               "payload": {"text": "round already completed"}}
+        assert idle.file.readline() == b""
+        idle.close()
+
     def test_awaiting_register_count_survives_concurrent_connections(self):
         # more threads than cores open and drop connections at once; a lost
         # update to the coordinator's count would leave it off zero
@@ -568,5 +586,19 @@ class TestPromptAborts:
         assert reply["kind"] == "ERROR"
         assert reply["payload"]["text"].startswith("round aborted: PREDICTIONS payload")
         for raw in (waiting, bad):
+            raw.close()
+        self.finish(thread, box, started)
+
+    def test_abort_reaches_a_participant_that_has_not_voted(self):
+        # participant 0 registers but never sends its predictions; when
+        # participant 1 breaks the round, serve ends 0's read with the cause
+        size, address, thread, box, started = self.start()
+        silent, bad = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
+        send_labels(bad, 1, [5] * size)
+        assert "outside its declared label space" in bad.recv()["payload"]["text"]
+        reply = silent.recv()
+        assert reply["kind"] == "ERROR"
+        assert reply["payload"]["text"].startswith("round aborted: participant 1 predicted")
+        for raw in (silent, bad):
             raw.close()
         self.finish(thread, box, started)
