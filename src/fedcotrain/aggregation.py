@@ -13,7 +13,10 @@ the sorted union of label spaces and sums weights with one ``np.bincount``
 per chunk of public indices. A chunk holds about ``VOTE_CHUNK_CELLS``
 (category, index) cells, so the vote's scratch memory does not grow with
 the public dataset size. Every bin sums in participant order, which keeps
-float results reproducible.
+float results reproducible. A chunk's admitted cells are found with one
+``np.flatnonzero`` over its category-major cells and split into category and
+index by ``np.divmod``, which gives them in the same row-major order a 2-D
+``np.nonzero`` would.
 
 Before the vote, each participant's votes are checked and mapped to those
 positions through the row's distinct values only: ``np.unique`` finds them
@@ -23,10 +26,12 @@ and sparse category ids take this one path.
 
 A participant's bundle is the restriction of the admitted index sets to its
 own label space, with any index claimed by two or more of those sets dropped
-from all of them so the bundle never carries contradictory labels. One sort
-finds the repeats: the sets' indices are concatenated and argsorted, equal
-neighbours in sorted order are marked, and the mark is scattered back to each
-set. A bundle checks that its entries are disjoint with the same rule.
+from all of them so the bundle never carries contradictory labels. One value
+sort finds the repeats: the sets' indices are concatenated and sorted, and
+equal neighbours are the shared values. Which values repeat does not depend
+on how equal values are ordered, so no stable argsort is needed, and
+``np.isin`` marks every occurrence of a shared value in the sets. A bundle
+checks that its entries are disjoint with the same sort, without the mask.
 An index set holds its indices as a read-only, one-dimensional int64 array,
 from the vote to the wire: the sort, the conflict masks and the bundle's
 rows work on it directly, and only the JSON boundary turns it into a list.
@@ -232,7 +237,8 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
         # (category, index) bin sums its voters' weights in participant order.
         cells = (block * span + np.arange(span)).ravel()
         mass = np.bincount(cells, weights=np.repeat(values, span), minlength=n_cat * span)
-        cats, cols = np.nonzero(mass.reshape(n_cat, span) / totals[:, None] > alpha)
+        hits = np.flatnonzero(mass.reshape(n_cat, span) / totals[:, None] > alpha)
+        cats, cols = np.divmod(hits, span)
         hit_cats.append(cats)
         hit_indices.append(cols + lo)
     cats = np.concatenate(hit_cats)
@@ -244,27 +250,21 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
 
 
 def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Find the indices that two or more of the sets share, with one sort.
+    """Find the indices that two or more of the sets share, with one value sort.
 
-    Returns a mask over the sets' concatenated indices, in entry order, that
-    marks every shared occurrence, and the shared indices in ascending order
-    (an index shared by k sets appears k - 1 times).
+    Returns the sets' concatenated indices, in entry order, and the shared
+    indices in ascending order (an index shared by k sets appears k - 1
+    times).
     """
     flat = np.concatenate([e.indices for e in entries]) if entries else np.empty(0, np.int64)
-    order = np.argsort(flat, kind="stable")
-    ordered = flat[order]
-    same = ordered[1:] == ordered[:-1]
-    marked = np.zeros(len(flat), dtype=bool)
-    marked[1:] = same
-    marked[:-1] |= same
-    mask = np.empty_like(marked)
-    mask[order] = marked
-    return mask, ordered[1:][same]
+    ordered = np.sort(flat)
+    return flat, ordered[1:][ordered[1:] == ordered[:-1]]
 
 
 def _drop_conflicts(entries: Sequence[PseudolabelSet]) -> list[PseudolabelSet]:
     """Drop every index claimed by two or more of the sets from all of them."""
-    mask, _ = _repeated(entries)
+    flat, shared = _repeated(entries)
+    mask = np.isin(flat, shared)
     out, lo = [], 0
     for entry in entries:
         hi = lo + len(entry)

@@ -42,6 +42,7 @@ import logging
 import socket
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -75,7 +76,11 @@ def _is_int(v):
 
 
 def _is_int_list(v):
-    return isinstance(v, list) and all(_is_int(x) for x in v)
+    # One type pass and one bounds pass over the whole list. JSON decodes
+    # integers as exactly int (bool is its own type, so it is rejected).
+    if not isinstance(v, list):
+        return False
+    return not v or (set(map(type, v)) <= {int} and -2 ** 63 <= min(v) and max(v) < 2 ** 63)
 
 
 def _is_entry_list(v):
@@ -245,8 +250,12 @@ class Coordinator:
         self._over = False
         self._deadline = 0.0
         self.transcript: list = []
+        # The barrier reaches the coordinator through a weak reference: a bound
+        # method would make a reference cycle, and a finished coordinator, with
+        # its transcript, would then live until the next full collection.
+        aggregate_once = weakref.WeakMethod(self._aggregate_once)
         self._barrier = threading.Barrier(settings.n_participants,
-                                          action=self._aggregate_once)
+                                          action=lambda: aggregate_once()())
 
     def bind(self, host: str = "127.0.0.1", port: int = 0):
         self.listener = socket.create_server((host, port))

@@ -295,6 +295,24 @@ def test_property_conflict_removal_matches_counter_reference(families, data):
     assert [indices_of(e) for e in bundle.entries] == reference_drop_conflicts(restricted)
 
 
+@given(index_families)
+@settings(max_examples=150, deadline=None)
+def test_property_bundle_check_matches_counter_reference(families):
+    # The bundle rejects its entries exactly when the Counter rule would drop
+    # something, and names the first five dropped values in ascending order.
+    entries = tuple(PseudolabelSet(k * 10 ** 12, tuple(indices))
+                    for k, indices in enumerate(families))
+    kept = reference_drop_conflicts(families)
+    dropped = sorted({i for indices, rest in zip(families, kept) for i in indices
+                      if i not in rest})
+    if not dropped:
+        assert len(PseudolabelBundle(owner=0, entries=entries)) == sum(map(len, families))
+        return
+    with pytest.raises(AggregationError) as raised:
+        PseudolabelBundle(owner=0, entries=entries)
+    assert str(raised.value) == f"bundle entries overlap on indices {dropped[:5]}"
+
+
 # Hypothesis strategies: the structure comes from hypothesis, the bulk vote
 # matrix from a seeded generator, which keeps shrinking fast.
 @st.composite

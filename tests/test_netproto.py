@@ -1,14 +1,16 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import socket
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedcotrain as fc
@@ -182,6 +184,38 @@ def test_fuzz_decode_line_yields_message_or_protocol_error(line):
         return
     assert isinstance(message, Message)
     assert message.kind in MESSAGE_SCHEMAS
+
+
+def reference_is_int_list(v):
+    """The per-element int64 list check, as the wire schema first wrote it."""
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool) and -2 ** 63 <= x < 2 ** 63
+    return isinstance(v, list) and all(is_int(x) for x in v)
+
+
+INT64_EDGES = st.sampled_from([-2 ** 63 - 1, -2 ** 63, -1, 0, 2 ** 63 - 1, 2 ** 63])
+# Everything a JSON decode can hand the list check: mostly-int lists near the
+# int64 edges, lists mixing in bools, floats and nested values, and non-lists.
+DECODED_VALUES = st.one_of(
+    st.lists(st.integers() | INT64_EDGES, max_size=20),
+    st.lists(st.integers() | INT64_EDGES | st.booleans() | st.floats() | JSON_VALUES,
+             max_size=8),
+    JSON_VALUES,
+).map(lambda v: json.loads(json.dumps(v)))
+
+
+@given(DECODED_VALUES)
+@example([])
+@example([2 ** 63 - 1, -2 ** 63])
+@example([0, 2 ** 63])
+@example([-2 ** 63 - 1, 0])
+@example([1, True])
+@example([1, 1.0])
+@example([[1], 2])
+@example({"1": 1})
+@settings(max_examples=400, deadline=None)
+def test_property_int_list_check_matches_per_element_reference(value):
+    assert netproto._is_int_list(value) is reference_is_int_list(value)
 
 
 class TestRound:
@@ -602,3 +636,35 @@ class TestPromptAborts:
         for raw in (silent, bad):
             raw.close()
         self.finish(thread, box, started)
+
+
+class TestLifetime:
+    """A coordinator is freed by reference counting alone, with no collection."""
+
+    def assert_freed_without_gc(self, make):
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(make())
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_fresh_coordinator_is_freed(self):
+        fresh = CoordinatorSettings(n_participants=2, alpha=0.3, unlabeled_size=10,
+                                    dataset_sha256="0" * 64)
+        self.assert_freed_without_gc(lambda: Coordinator(fresh))
+
+    def test_coordinator_is_freed_after_a_round(self):
+        config = small_config(n=1)
+        data = build_round_data(config)
+
+        def finished_coordinator():
+            coordinator, address, thread, box = start_coordinator(settings_for(config, data))
+            join_participant(config, data, 0, address)
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert box["result"].status == "completed"
+            return coordinator
+
+        self.assert_freed_without_gc(finished_coordinator)
