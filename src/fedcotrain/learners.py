@@ -115,11 +115,58 @@ def _one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def _row_sums(columns) -> np.ndarray:
+    """Sum equal-length 1-D columns row by row, bit for bit as numpy would.
+
+    The result equals ``np.stack(columns, axis=1).sum(axis=1)``: numpy sums
+    each row of a C-contiguous ``(n, w)`` array pairwise, and this adds whole
+    columns in that same order. Below 8 columns the sum is sequential. From 8
+    to 128 it keeps 8 accumulators, column j going to accumulator j % 8, joins
+    them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the leftover
+    columns in order. Above 128 it sums the two halves, split at a multiple of
+    8, and adds them. The sum starts from +0.0, so a row of -0.0 sums to +0.0.
+    Each column is one pass over n values instead of a length-w loop per row.
+    Columns are float64; numpy's order is checked at every width up to 300 by
+    the tests, so a numpy that sums rows differently fails them.
+    """
+    w = len(columns)
+    total = np.zeros(len(columns[0]))
+    if w < 8:
+        for column in columns:
+            total += column
+    elif w <= 128:
+        r = [column.copy() for column in columns[:8]]
+        tail = w - w % 8
+        for start in range(8, tail, 8):
+            for j in range(8):
+                r[j] += columns[start + j]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for column in columns[tail:]:
+            total += column
+    else:
+        # a zero start inside each half can only flip the sign of a zero,
+        # which the outer +0.0 start resets
+        half = w // 2
+        half -= half % 8
+        total += _row_sums(columns[:half])
+        total += _row_sums(columns[half:])
+    return total
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place in ``logits``."""
-    logits -= logits.max(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in a C-contiguous ``logits``.
+
+    Each step runs over whole columns. The row max is exact in any order; the
+    row sum goes through ``_row_sums``, so every probability is bit-identical
+    to ``exp(z - z.max(axis=1)) / sum(axis=1)`` at any number of classes.
+    """
+    columns = list(logits.T)
+    top = columns[0].copy()
+    for column in columns[1:]:
+        np.maximum(top, column, out=top)
+    logits -= top[:, None]
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= _row_sums(columns)[:, None]
     return logits
 
 
@@ -189,7 +236,14 @@ class KNearestNeighborsClassifier(Classifier):
 
 
 class GaussianNaiveBayesClassifier(Classifier):
-    """Per-class diagonal Gaussians with a variance floor."""
+    """Per-class diagonal Gaussians with a variance floor.
+
+    A class's score is ``log_prior - 0.5 * sum_j((x_j - mu_j)**2 / var_j +
+    log(2 pi var_j))``, summed over features in the order of
+    ``_row_sums`` (numpy's row sum of the ``(n, d)`` terms), so scores are
+    bit-identical to that row-wise expression at every d. A class with no
+    training rows scores -inf.
+    """
 
     kind = "gnb"
 
@@ -211,13 +265,21 @@ class GaussianNaiveBayesClassifier(Classifier):
             self.var[idx] = rows.var(axis=0) + floor
 
     def _scores(self, X):
+        # Each term is one pass over a feature of all rows, not a d-long loop
+        # per row.
+        features = np.ascontiguousarray(X.T)
         scores = np.full((len(X), len(self.classes)), -np.inf)
         for idx in range(len(self.classes)):
             if not self.fitted[idx]:
                 continue
-            log_lik = -0.5 * (np.log(2.0 * np.pi * self.var[idx])
-                              + (X - self.mu[idx]) ** 2 / self.var[idx]).sum(axis=1)
-            scores[:, idx] = self.log_prior[idx] + log_lik
+            log_norm = np.log(2.0 * np.pi * self.var[idx])
+            terms = [(x - mu) ** 2 / var + norm
+                     for x, mu, var, norm in zip(features, self.mu[idx], self.var[idx],
+                                                 log_norm, strict=True)]
+            log_lik = _row_sums(terms)
+            log_lik *= -0.5
+            log_lik += self.log_prior[idx]
+            scores[:, idx] = log_lik
         return scores
 
 

@@ -514,7 +514,7 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
 
         stream.send(Message("PREDICTIONS", {
             "participant_id": participant_id,
-            "labels": [int(v) for v in vector],
+            "labels": vector.tolist(),
         }))
         reply = stream.recv()
         if reply.kind == "ERROR":

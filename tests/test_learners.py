@@ -20,6 +20,7 @@ from fedcotrain.learners import (
     KNearestNeighborsClassifier,
     LearnerError,
     TrainConfig,
+    _row_sums,
     evaluate,
     make_classifier,
     materialize_bundle,
@@ -127,6 +128,12 @@ class TestTieBreaking:
         clf = train_local("gnb", SPACE01, data, TrainConfig())
         preds = clf.predict_batch(np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 0.5]]))
         assert preds.tolist() == [0, 0, 0]
+
+    def test_gnb_rejects_a_feature_count_it_was_not_trained_on(self):
+        clf = train_local("gnb", SPACE01, two_clusters(seed=19), TrainConfig())
+        for width in (1, 3):
+            with pytest.raises(ValueError):
+                clf.predict_batch(np.zeros((4, width)))
 
     def test_logreg_boundary_point_from_trained_weights(self):
         data = two_clusters(n=40, seed=17)
@@ -283,10 +290,10 @@ def array_sha(*arrays):
     return digest.hexdigest()
 
 
-def pin_data(n=1280, d=6, seed=41):
-    """Four noisy blobs with sparse category ids."""
+def pin_data(n=1280, d=6, seed=41, classes=(3, 7, 20, 21)):
+    """One noisy blob per category id; four sparse ids by default."""
     rng = np.random.default_rng(seed)
-    classes = np.array([3, 7, 20, 21])
+    classes = np.array(classes)
     y = classes[rng.integers(0, len(classes), n)]
     centers = rng.normal(0.0, 1.5, (len(classes), d))
     X = centers[np.searchsorted(classes, y)] + rng.normal(0.0, 1.0, (n, d))
@@ -326,6 +333,80 @@ class TestPinnedOutputs:
                 for k in (1, 4, 9, 700)]
         assert array_sha(*shas) == (
             "b37729f6bae2fefe1a1d80b61660dba454c5d0c954184085deb953f9913eadab")
+
+    # Seven and ten classes put the softmax row sum on both sides of numpy's
+    # eight-way unrolled summation.
+    MLP_PINS = {
+        7: "a2889f7946bb3a331ee7b53516c6e28e51f22b9a36e9df2c7b3050616b88890e",
+        10: "6db7479fe26c05c4d0816b93d9faefe278debe40e2edfcdd087a7409540ed6b0",
+    }
+    LOGREG_PINS = {
+        7: "0bf9a9f17d6d6d656388e0be55c4a67b73600ffaf45b293ea2718e5625f6aa5c",
+        10: "e386d3094048fa4229abc9c1e4f6f562a433e9a6b476662f2b9c938df8d418cf",
+    }
+
+    @pytest.mark.parametrize("k", sorted(MLP_PINS))
+    def test_mlp_weights_at_more_classes(self, k):
+        data, space = pin_data(classes=tuple(range(1, 3 * k, 3)))
+        clf = train_local("mlp", space, data, self.CONFIG)
+        assert array_sha(clf.w1, clf.b1, clf.w2, clf.b2) == self.MLP_PINS[k]
+
+    @pytest.mark.parametrize("k", sorted(LOGREG_PINS))
+    def test_logreg_weights_at_more_classes(self, k):
+        data, space = pin_data(classes=tuple(range(1, 3 * k, 3)))
+        clf = train_local("logreg", space, data, self.CONFIG)
+        assert array_sha(clf.weights) == self.LOGREG_PINS[k]
+
+    # Feature counts below, at and above numpy's unrolled and halved row sums,
+    # each at 3 and 10 classes; the second category gets no training rows, so
+    # its scores are all -inf.
+    GNB_PINS = {
+        1: "f7a1b1370ebda2179d54e94683a5ee1b0f46ac830a135f0dcb2e1491da6e153a",
+        2: "85550cf44d5ac5e6463252893ea4893453c705e25f1f3e671ac9889e38950af4",
+        7: "9f6b182bcf89096132845413e93dd98681202886a596e1dcae7efcf4f6476f71",
+        8: "0583cefcc4d95a707164d4b5dea25817c38591c8d25230550167172db74c9c71",
+        9: "75eac63b4a21277ded7a4a009b3fb872eb57eed80e41a34b52ed33001971b22c",
+        130: "96255770feed9409c83635d766ff769914252c4699962f64d3b1ba2a2eb9b18b",
+    }
+
+    @pytest.mark.parametrize("d", sorted(GNB_PINS))
+    def test_gnb_scores_and_predictions(self, d):
+        shas = []
+        for k in (3, 10):
+            ids = tuple(range(2, 5 * k, 5))
+            data, space = pin_data(n=600, d=d, seed=d, classes=ids)
+            keep = data.labels != ids[1]
+            train = LabeledDataset(data.features[keep], data.labels[keep])
+            clf = train_local("gnb", space, train, TrainConfig())
+            probe = pin_data(n=300, d=d, seed=1000 + d, classes=ids)[0].features
+            shas.append(array_sha(clf._scores(probe), clf.predict_batch(probe)))
+        assert array_sha(*shas) == self.GNB_PINS[d]
+
+
+def test_row_sums_match_numpy_row_sums_at_every_width():
+    # Widths 1-300 cover numpy's sequential (< 8), unrolled (8-128) and halved
+    # (> 128) row sums and every boundary between them, so a numpy that sums
+    # rows in another order fails here instead of changing learner outputs.
+    rng = np.random.default_rng(17)
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+    for w in range(1, 301):
+        X = rng.normal(0.0, 1.0, (12, w)) * 10.0 ** rng.integers(-12, 13, (12, w))
+        X[0] = -0.0
+        X[1] = rng.choice([-0.0, 0.0], w)
+        X[6:8][rng.random((2, w)) < 0.3] = -0.0
+        X[8, rng.integers(w)] = np.inf
+        X[9, rng.integers(w)] = -np.inf
+        mixed = rng.random((2, w)) < 0.05
+        X[10:][mixed] = rng.choice(specials, mixed.sum())
+        cols = list(np.ascontiguousarray(X.T))
+        with np.errstate(invalid="ignore"):
+            expected = np.stack(cols, axis=1).sum(axis=1)
+            got = _row_sums(cols)
+        # NaN payload bits may differ; values, zero signs and NaN places may not
+        assert np.array_equal(got, expected, equal_nan=True), w
+        finite = ~np.isnan(expected)
+        assert np.array_equal(np.signbit(got[finite]), np.signbit(expected[finite])), w
+        assert not np.signbit(got[0]), w
 
 
 def reference_knn_scores(train_X, train_y_idx, n_classes, k, X):

@@ -271,6 +271,24 @@ class TestRound:
         assert all(len(r.bundle) == 0 and r.federated_accuracy == r.local_accuracy
                    for r in results.values())
 
+    def test_predictions_go_up_as_python_ints_equal_to_the_votes(self):
+        config = small_config(n=1)
+        data = build_round_data(config)
+        coordinator, address, thread, box = start_coordinator(settings_for(config, data))
+        result = join_participant(config, data, 0, address)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+        from fedcotrain.learners import pseudolabel, train_local
+        shard = data.shards[0]
+        clf = train_local(config.participants[0].learner, shard.label_space,
+                          shard.train, participant_train_config(config, 0))
+        votes = pseudolabel(clf, data.unlabeled)
+        [labels] = [entry["message"]["payload"]["labels"] for entry in result.transcript
+                    if entry["message"]["kind"] == "PREDICTIONS"]
+        assert {type(v) for v in labels} == {int}
+        assert labels == votes.tolist()
+
     def test_transcripts_validate_and_carry_no_floats(self):
         config = small_config(n=1)
         data = build_round_data(config)
