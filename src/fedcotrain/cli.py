@@ -25,6 +25,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .aggregation import AggregationError
 from .domain import DomainError, LabelSpace, UnlabeledDataset, load_csv, save_csv
 from .learners import LearnerError
@@ -257,8 +259,9 @@ def _resolve_out(flag_value, rc: RunConfig) -> Path:
 
 
 def _write_jsonl(path: Path, records) -> None:
-    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
-                    encoding="utf-8")
+    # arrays are written as the lists of their values
+    path.write_text("".join(json.dumps(r, sort_keys=True, default=np.ndarray.tolist) + "\n"
+                            for r in records), encoding="utf-8")
 
 
 def cmd_generate_data(args) -> int:
@@ -337,8 +340,7 @@ def _read_manifest(data_dir: Path):
 def _dump_artifacts(artifacts, out: Path) -> None:
     records = []
     for i, row in enumerate(artifacts.predictions):
-        records.append({"record": "predictions", "participant": i,
-                        "labels": [int(v) for v in row]})
+        records.append({"record": "predictions", "participant": i, "labels": row})
     pseudo_sets = [artifacts.pseudo_sets[c] for c in sorted(artifacts.pseudo_sets)]
     records += [{"record": "pseudolabel_set", **entry} for entry in entries_payload(pseudo_sets)]
     records += [_bundle_record(bundle) for bundle in artifacts.bundles]

@@ -115,7 +115,7 @@ def _one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _row_sums(columns) -> np.ndarray:
+def _row_sums(columns, out: np.ndarray | None = None) -> np.ndarray:
     """Sum equal-length 1-D columns row by row, bit for bit as numpy would.
 
     The result equals ``np.stack(columns, axis=1).sum(axis=1)``: numpy sums
@@ -127,20 +127,26 @@ def _row_sums(columns) -> np.ndarray:
     8, and adds them. The sum starts from +0.0, so a row of -0.0 sums to +0.0.
     Each column is one pass over n values instead of a length-w loop per row.
     Columns are float64; numpy's order is checked at every width up to 300 by
-    the tests, so a numpy that sums rows differently fails them.
+    the tests, so a numpy that sums rows differently fails them. The sums go
+    into ``out`` when it is given.
     """
     w = len(columns)
-    total = np.zeros(len(columns[0]))
+    total = np.empty(len(columns[0])) if out is None else out
+    total.fill(0.0)
     if w < 8:
         for column in columns:
             total += column
     elif w <= 128:
-        r = [column.copy() for column in columns[:8]]
+        r = np.array(columns[:8])
         tail = w - w % 8
         for start in range(8, tail, 8):
             for j in range(8):
                 r[j] += columns[start + j]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), each sum kept in its left term
+        for step in (1, 2, 4):
+            for j in range(0, 8, 2 * step):
+                r[j] += r[j + step]
+        total += r[0]
         for column in columns[tail:]:
             total += column
     else:
@@ -266,17 +272,21 @@ class GaussianNaiveBayesClassifier(Classifier):
 
     def _scores(self, X):
         # Each term is one pass over a feature of all rows, not a d-long loop
-        # per row.
+        # per row, and every class reuses the same two buffers: row j of
+        # terms is (x_j - mu_j) ** 2 / var_j + log(2 pi var_j).
         features = np.ascontiguousarray(X.T)
+        terms = np.empty_like(features)
+        log_lik = np.empty(len(X))
         scores = np.full((len(X), len(self.classes)), -np.inf)
         for idx in range(len(self.classes)):
             if not self.fitted[idx]:
                 continue
             log_norm = np.log(2.0 * np.pi * self.var[idx])
-            terms = [(x - mu) ** 2 / var + norm
-                     for x, mu, var, norm in zip(features, self.mu[idx], self.var[idx],
-                                                 log_norm, strict=True)]
-            log_lik = _row_sums(terms)
+            np.subtract(features, self.mu[idx][:, None], out=terms)
+            np.square(terms, out=terms)
+            terms /= self.var[idx][:, None]
+            terms += log_norm[:, None]
+            _row_sums(terms, out=log_lik)
             log_lik *= -0.5
             log_lik += self.log_prior[idx]
             scores[:, idx] = log_lik

@@ -14,6 +14,14 @@ Kinds and payloads:
 * ``ERROR``         {text}
 * ``BYE``           {}
 
+An int list (``label_space``, ``labels``, ``indices``) is a JSON array of
+integers on the wire and a read-only int64 array in memory, on both sides.
+``Message.encode`` writes such arrays with a vectorised digit kernel and every
+other value with ``json``; its bytes are exactly those of
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` on the same message
+with lists in place of arrays. ``decode_line`` turns each int list into an
+array in one step, rejecting any value outside int64.
+
 The coordinator never transmits instances: the public dataset is published
 out-of-band as a file whose content hash rides in REGISTER_ACK so clients can
 verify alignment, and bundles reference public-dataset indices only. Messages
@@ -48,7 +56,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .aggregation import CredibilityWeights, PseudolabelBundle, PseudolabelSet
+from .aggregation import (AggregationError, CredibilityWeights, PseudolabelBundle,
+                          PseudolabelSet)
 # Unused here (coordinate and Participant call them); kept for the benchmark tracer.
 from .aggregation import aggregate, aggregate_weighted, build_bundle, remove_global_conflicts
 from .domain import LabeledDataset, LabelSpace, UnlabeledDataset
@@ -68,57 +77,177 @@ class ProtocolError(RuntimeError):
     """Wire-level failure: malformed message, version mismatch, contract breach."""
 
 
-# Strict payload schemas: field name -> validator. Unknown fields are
-# rejected, so a schema pass proves a message carries only ids, indices,
-# sizes, and text - never feature vectors. Integers must fit in int64.
+# Strict payload schemas: field name -> parser. A parser returns the field's
+# in-memory value, or None when the decoded value has the wrong type or range
+# (no field takes null). Unknown fields are rejected, so a schema pass proves a
+# message carries only ids, indices, sizes, and text - never feature vectors.
+# Integers must fit in int64; an int list becomes a read-only int64 array.
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
 
 
+def _int(v):
+    return v if _is_int(v) else None
+
+
+def _text(v):
+    return v if isinstance(v, str) else None
+
+
+def _int_array(v):
+    # One type pass over the whole list: JSON decodes integers as exactly
+    # int (bool is its own type, so it is rejected). The conversion's
+    # OverflowError is the int64 bounds check.
+    if not isinstance(v, list) or not set(map(type, v)) <= {int}:
+        return None
+    try:
+        values = np.array(v, dtype=np.int64)
+    except OverflowError:
+        return None
+    values.flags.writeable = False
+    return values
+
+
 def _is_int_list(v):
-    # One type pass and one bounds pass over the whole list. JSON decodes
-    # integers as exactly int (bool is its own type, so it is rejected).
-    if not isinstance(v, list):
-        return False
-    return not v or (set(map(type, v)) <= {int} and -2 ** 63 <= min(v) and max(v) < 2 ** 63)
+    return _int_array(v) is not None
 
 
-def _is_entry_list(v):
+def _entries(v):
     if not isinstance(v, list):
-        return False
+        return None
+    entries = []
     for item in v:
         if not isinstance(item, dict) or set(item) != {"category", "indices"}:
-            return False
-        if not _is_int(item["category"]) or not _is_int_list(item["indices"]):
-            return False
-    return True
+            return None
+        indices = _int_array(item["indices"])
+        if not _is_int(item["category"]) or indices is None:
+            return None
+        entries.append({"category": item["category"], "indices": indices})
+    return entries
 
 
 MESSAGE_SCHEMAS = {
-    "REGISTER": {"participant_id": _is_int, "label_space": _is_int_list,
-                 "train_size": _is_int},
-    "REGISTER_ACK": {"participant_id": _is_int, "n_participants": _is_int,
-                     "unlabeled_size": _is_int, "dataset_sha256": lambda v: isinstance(v, str)},
-    "PREDICTIONS": {"participant_id": _is_int, "labels": _is_int_list},
-    "BUNDLE": {"participant_id": _is_int, "entries": _is_entry_list},
-    "ERROR": {"text": lambda v: isinstance(v, str)},
+    "REGISTER": {"participant_id": _int, "label_space": _int_array, "train_size": _int},
+    "REGISTER_ACK": {"participant_id": _int, "n_participants": _int,
+                     "unlabeled_size": _int, "dataset_sha256": _text},
+    "PREDICTIONS": {"participant_id": _int, "labels": _int_array},
+    "BUNDLE": {"participant_id": _int, "entries": _entries},
+    "ERROR": {"text": _text},
     "BYE": {},
 }
 
 
-@dataclass(frozen=True)
+def _int64_json(values: np.ndarray) -> bytes:
+    """``json.dumps(values.tolist(), separators=(",", ":"))`` of a 1-D int64 array.
+
+    Every step runs over all values at once. Each value gets one row of
+    characters: a sign, its digits right-aligned in the widest value's width,
+    and a comma. A mask marks the characters the value really has, and the
+    text is the masked characters in row order.
+    """
+    n = len(values)
+    if n == 0:
+        return b"[]"
+    negative = values < 0
+    # magnitudes as uint64, where -2**63 has one too
+    rest = values.view(np.uint64).copy()
+    np.negative(rest, out=rest, where=negative)
+    width = len(str(int(rest.max())))
+    chars = np.empty((n, width + 2), dtype=np.uint8)
+    keep = np.empty((n, width + 2), dtype=bool)
+    keep[:, 0] = negative
+    keep[:, width] = True  # the last digit
+    keep[:, -1] = True
+    quotient = np.empty(n, dtype=np.uint64)
+    digit = np.empty(n, dtype=np.uint64)
+    for col in range(width, 0, -1):
+        if col < width:
+            # a value has a higher digit only while some of it is left
+            np.greater(rest, 0, out=keep[:, col])
+        np.floor_divide(rest, 10, out=quotient)
+        np.multiply(quotient, 10, out=digit)
+        np.subtract(rest, digit, out=digit)
+        chars[:, col] = digit
+        rest, quotient = quotient, rest
+    chars += ord("0")
+    chars[:, 0] = ord("-")
+    chars[:, -1] = ord(",")
+    text = chars[keep]
+    text[-1] = ord("]")
+    return b"[" + text.tobytes()
+
+
+def _write_json(value, out: list) -> None:
+    """Append ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` to out.
+
+    A 1-D int64 array is written as the list of its values by
+    ``_int64_json``. Any other value goes to ``json.dumps`` whole; only when
+    that fails on a type, because the value holds arrays, is a dict with
+    string keys or a list written here item by item.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 1:
+        out.append(_int64_json(value))
+        return
+    try:
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    except TypeError:
+        if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+            sep = b"{"
+            for key in sorted(value):
+                out += (sep, json.dumps(key).encode(), b":")
+                _write_json(value[key], out)
+                sep = b","
+            out.append(b"}")
+        elif isinstance(value, list):
+            sep = b"["
+            for item in value:
+                out.append(sep)
+                _write_json(item, out)
+                sep = b","
+            out.append(b"]")
+        else:
+            raise
+    else:
+        out.append(text.encode())
+
+
+def _plain(value):
+    """``value`` with every array in it written as a list: a plain JSON value."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+@dataclass(frozen=True, eq=False)
 class Message:
+    """One wire message; two are equal when they encode to the same bytes."""
+
     kind: str
     payload: dict
     v: int = PROTOCOL_VERSION
 
     def encode(self) -> bytes:
-        doc = {"v": self.v, "kind": self.kind, "payload": self.payload}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+        out: list[bytes] = []
+        _write_json({"v": self.v, "kind": self.kind, "payload": self.payload}, out)
+        out.append(b"\n")
+        return b"".join(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, Message):
+            return NotImplemented
+        return self.encode() == other.encode()
 
 
 def validate_message(doc) -> Message:
-    """Parse and schema-check one decoded JSON object."""
+    """Parse and schema-check one decoded JSON object.
+
+    The message's payload is a new dict, with each int list as a read-only
+    int64 array; ``doc`` is left as it was.
+    """
     if not isinstance(doc, dict) or set(doc) != {"v", "kind", "payload"}:
         raise ProtocolError("message must have exactly the fields v, kind, payload")
     if not _is_int(doc["v"]):
@@ -132,10 +261,12 @@ def validate_message(doc) -> Message:
         raise ProtocolError(
             f"{kind} payload must have exactly the fields {sorted(schema)}"
         )
-    for name, check in schema.items():
-        if not check(payload[name]):
+    parsed = {}
+    for name, parse in schema.items():
+        parsed[name] = parse(payload[name])
+        if parsed[name] is None:
             raise ProtocolError(f"{kind} payload field {name!r} has the wrong type or range")
-    return Message(kind=kind, payload=payload, v=doc["v"])
+    return Message(kind=kind, payload=parsed, v=doc["v"])
 
 
 def decode_line(line: bytes) -> Message:
@@ -149,41 +280,50 @@ def decode_line(line: bytes) -> Message:
 
 
 class MessageStream:
-    """Newline-framed message I/O over one socket, with optional transcript."""
+    """Newline-framed message I/O over one socket, with optional transcript.
+
+    A line longer than ``max_line`` bytes, not counting its newline, is a
+    ProtocolError. Received bytes are scanned for a newline once each.
+    """
 
     def __init__(self, sock: socket.socket, max_line: int = DEFAULT_MAX_LINE,
                  transcript: list | None = None, transcript_lock=None, peer: str = ""):
         self.sock = sock
         self.max_line = max_line
-        self.buffer = b""
+        self.buffer = bytearray()
         self.transcript = transcript
         self.transcript_lock = transcript_lock or threading.Lock()
         self.peer = peer
 
     def _record(self, direction: str, message: Message):
         if self.transcript is not None:
+            entry = {"direction": direction, "peer": self.peer,
+                     "message": {"v": message.v, "kind": message.kind,
+                                 "payload": _plain(message.payload)}}
             with self.transcript_lock:
-                self.transcript.append({
-                    "direction": direction,
-                    "peer": self.peer,
-                    "message": {"v": message.v, "kind": message.kind,
-                                "payload": message.payload},
-                })
+                self.transcript.append(entry)
 
     def send(self, message: Message):
         self._record("send", message)
         self.sock.sendall(message.encode())
 
-    def recv(self) -> Message:
-        while b"\n" not in self.buffer:
-            if len(self.buffer) > self.max_line:
-                raise ProtocolError(f"message line exceeds {self.max_line} bytes")
+    def _read_line(self) -> bytearray:
+        end = self.buffer.find(b"\n")
+        while end < 0 and len(self.buffer) <= self.max_line:
+            scanned = len(self.buffer)
             chunk = self.sock.recv(65536)
             if not chunk:
                 raise ProtocolError("connection closed mid-message")
             self.buffer += chunk
-        line, self.buffer = self.buffer.split(b"\n", 1)
-        message = decode_line(line)
+            end = self.buffer.find(b"\n", scanned)
+        if not 0 <= end <= self.max_line:
+            raise ProtocolError(f"message line exceeds {self.max_line} bytes")
+        line = self.buffer[:end]
+        del self.buffer[:end + 1]
+        return line
+
+    def recv(self) -> Message:
+        message = decode_line(self._read_line())
         self._record("recv", message)
         return message
 
@@ -221,14 +361,34 @@ class ServeResult:
 
 
 def entries_payload(sets: Iterable[PseudolabelSet]) -> list[dict]:
-    """The JSON form of index sets: a BUNDLE's entries, one dumped record each."""
-    return [{"category": s.category, "indices": s.indices.tolist()} for s in sets]
+    """The payload form of index sets: a BUNDLE's entries, one dumped record each."""
+    return [{"category": s.category, "indices": s.indices} for s in sets]
 
 
-def bundle_from_payload(payload: dict) -> PseudolabelBundle:
-    entries = tuple(PseudolabelSet(item["category"], item["indices"])
-                    for item in payload["entries"])
-    return PseudolabelBundle(owner=payload["participant_id"], entries=entries)
+def bundle_from_payload(payload: dict, label_space: LabelSpace,
+                        public_size: int) -> PseudolabelBundle:
+    """The bundle a BUNDLE payload carries, checked against its receiver.
+
+    Raises ProtocolError naming the fault when the entries do not form a
+    bundle, name a category outside ``label_space``, or index past the
+    public dataset.
+    """
+    try:
+        entries = tuple(PseudolabelSet(item["category"], item["indices"])
+                        for item in payload["entries"])
+        bundle = PseudolabelBundle(owner=payload["participant_id"], entries=entries)
+    except AggregationError as exc:
+        raise ProtocolError(f"coordinator sent a malformed bundle: {exc}") from None
+    for entry in bundle.entries:
+        if entry.category not in label_space:
+            raise ProtocolError(
+                f"coordinator sent a bundle for category {entry.category}, outside "
+                f"the label space {list(label_space.categories)}")
+        if len(entry) and entry.indices[-1] >= public_size:
+            raise ProtocolError(
+                f"coordinator sent a bundle with index {entry.indices[-1]} for category "
+                f"{entry.category}, outside the public dataset of {public_size} rows")
+    return bundle
 
 
 class Coordinator:
@@ -318,7 +478,7 @@ class Coordinator:
                 stream.try_send_error(
                     f"participant {pid} registered an empty local dataset")
                 return
-            space = LabelSpace(tuple(register.payload["label_space"]))
+            space = LabelSpace(tuple(register.payload["label_space"].tolist()))
             with self._lock:
                 if pid in self._spaces:
                     stream.try_send_error(f"participant {pid} is already registered")
@@ -337,7 +497,7 @@ class Coordinator:
                 raise ProtocolError(f"expected PREDICTIONS, got {predictions.kind}")
             if predictions.payload["participant_id"] != pid:
                 raise ProtocolError("PREDICTIONS participant id does not match REGISTER")
-            labels = np.asarray(predictions.payload["labels"], dtype=np.int64)
+            labels = predictions.payload["labels"]
             if len(labels) != self.settings.unlabeled_size:
                 raise ProtocolError(
                     f"prediction vector length {len(labels)} != announced "
@@ -494,7 +654,7 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
     try:
         stream.send(Message("REGISTER", {
             "participant_id": participant_id,
-            "label_space": [int(c) for c in label_space],
+            "label_space": np.array(label_space.categories, dtype=np.int64),
             "train_size": len(train),
         }))
         ack = stream.recv()
@@ -514,7 +674,7 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
 
         stream.send(Message("PREDICTIONS", {
             "participant_id": participant_id,
-            "labels": vector.tolist(),
+            "labels": vector,
         }))
         reply = stream.recv()
         if reply.kind == "ERROR":
@@ -523,7 +683,7 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
             raise ProtocolError(f"expected BUNDLE, got {reply.kind}")
         if reply.payload["participant_id"] != participant_id:
             raise ProtocolError("received a bundle addressed to another participant")
-        bundle = bundle_from_payload(reply.payload)
+        bundle = bundle_from_payload(reply.payload, label_space, len(public))
     finally:
         stream.close()
 

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import re
 import socket
 import sys
 import threading
@@ -216,6 +217,179 @@ DECODED_VALUES = st.one_of(
 @settings(max_examples=400, deadline=None)
 def test_property_int_list_check_matches_per_element_reference(value):
     assert netproto._is_int_list(value) is reference_is_int_list(value)
+
+
+# sha256 of two lines as json.dumps wrote them before int lists were arrays:
+# the wire's bytes must never change.
+def pinned_labels():
+    """1e5 int64 labels of every magnitude: an LCG's values shifted by 0-63."""
+    n = 100_000
+    x = (np.arange(n, dtype=np.uint64) * np.uint64(6364136223846793005)
+         + np.uint64(1442695040888963407))
+    return x.view(np.int64) >> (np.arange(n, dtype=np.int64) % 64)
+
+
+def pinned_entries():
+    idx = np.arange(0, 300_000, 7, dtype=np.int64)
+    return [(3, idx[:0]), (5, idx[:1]), (11, idx[::3]), (2 ** 40, idx[5:20000]),
+            (-7, np.array([2 ** 63 - 1], dtype=np.int64))]
+
+
+PREDICTIONS_SHA = "7e159727520c2492201639a3a5f503b3c8e1553a09d5e84caea90b23fc6d8b3c"
+BUNDLE_SHA = "928c7e477e4f2dcaae9a2fa9f83c37e8c0d3e5fb780de101bfd30a676268a06c"
+
+
+class TestCodec:
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_encoded_lines_match_the_pinned_bytes(self, as_list):
+        def form(values):
+            return values.tolist() if as_list else values
+
+        predictions = Message("PREDICTIONS", {"participant_id": 3,
+                                              "labels": form(pinned_labels())})
+        bundle = Message("BUNDLE", {"participant_id": 1, "entries": [
+            {"category": c, "indices": form(i)} for c, i in pinned_entries()]})
+        assert hashlib.sha256(predictions.encode()).hexdigest() == PREDICTIONS_SHA
+        assert hashlib.sha256(bundle.encode()).hexdigest() == BUNDLE_SHA
+
+    def test_decoded_int_lists_are_read_only_int64_arrays(self):
+        line = Message("BUNDLE", {"participant_id": 1, "entries": [
+            {"category": c, "indices": i} for c, i in pinned_entries()]}).encode()
+        entries = decode_line(line).payload["entries"]
+        for entry, (category, indices) in zip(entries, pinned_entries(), strict=True):
+            assert entry["category"] == category
+            assert entry["indices"].dtype == np.int64
+            assert not entry["indices"].flags.writeable
+            assert np.array_equal(entry["indices"], indices)
+        labels = decode_line(Message("PREDICTIONS", {
+            "participant_id": 3, "labels": pinned_labels()}).encode()).payload["labels"]
+        assert labels.dtype == np.int64 and not labels.flags.writeable
+        assert np.array_equal(labels, pinned_labels())
+
+    def test_validate_message_leaves_its_input_unchanged(self):
+        doc = {"v": 1, "kind": "BUNDLE", "payload": {"participant_id": 0, "entries": [
+            {"category": 2, "indices": [0, 4]}, {"category": 5, "indices": []}]}}
+        copy = json.loads(json.dumps(doc))
+        message = validate_message(doc)
+        assert doc == copy
+        assert message.payload is not doc["payload"]
+        assert isinstance(doc["payload"]["entries"][0]["indices"], list)
+
+    def test_arrays_of_other_dtypes_are_not_written(self):
+        with pytest.raises(TypeError):
+            Message("PREDICTIONS", {"participant_id": 0,
+                                    "labels": np.zeros(3, dtype=np.int32)}).encode()
+
+
+def digit_edges():
+    """-2**63, 2**63-1, and +-(10**k), +-(10**k - 1) for k up to 18."""
+    edges = [-2 ** 63, 2 ** 63 - 1]
+    for k in range(19):
+        edges += [10 ** k, -10 ** k, 10 ** k - 1, -(10 ** k - 1)]
+    return edges
+
+
+INT64_ARRAYS = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from(digit_edges()),
+                        max_size=30).map(lambda v: np.array(v, dtype=np.int64))
+# JSON documents with int64 arrays among their values.
+JSON_WITH_ARRAYS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10)
+    | INT64_ARRAYS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=20)
+
+
+def as_json(value):
+    out = []
+    netproto._write_json(value, out)
+    return b"".join(out)
+
+
+def reference_json(value):
+    return json.dumps(netproto._plain(value), sort_keys=True,
+                      separators=(",", ":")).encode()
+
+
+@given(JSON_VALUES | INT64_ARRAYS | JSON_WITH_ARRAYS)
+@example(np.array([], dtype=np.int64))
+@example(np.array(digit_edges(), dtype=np.int64))
+@example({"b": [np.array([-1, 0], dtype=np.int64)], "a": {}, "": []})
+@settings(max_examples=400, deadline=None)
+def test_property_writer_matches_json_dumps(value):
+    assert as_json(value) == reference_json(value)
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+PAYLOADS = {
+    "REGISTER": st.fixed_dictionaries({"participant_id": INT64, "label_space": INT64_ARRAYS,
+                                       "train_size": INT64}),
+    "REGISTER_ACK": st.fixed_dictionaries({
+        "participant_id": INT64, "n_participants": INT64, "unlabeled_size": INT64,
+        "dataset_sha256": st.text(max_size=64)}),
+    "PREDICTIONS": st.fixed_dictionaries({"participant_id": INT64, "labels": INT64_ARRAYS}),
+    "BUNDLE": st.fixed_dictionaries({"participant_id": INT64, "entries": st.lists(
+        st.fixed_dictionaries({"category": INT64, "indices": INT64_ARRAYS}), max_size=4)}),
+    "ERROR": st.fixed_dictionaries({"text": st.text(max_size=20)}),
+    "BYE": st.just({}),
+}
+MESSAGES = st.one_of(*(st.builds(Message, st.just(kind), payload, INT64)
+                       for kind, payload in PAYLOADS.items()))
+
+
+@given(MESSAGES)
+@settings(max_examples=300, deadline=None)
+def test_property_decode_then_encode_gives_the_same_bytes(message):
+    line = message.encode()
+    decoded = decode_line(line)
+    assert decoded.encode() == line
+    assert decoded == message
+
+
+class ChunkSocket:
+    """Hands MessageStream.recv the given chunks, one per call, then EOF."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+
+    def recv(self, size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+class TestLineCap:
+    LINE = Message("ERROR", {"text": "x" * 40}).encode()
+    SIZE = len(LINE) - 1  # the newline does not count
+
+    def read(self, max_line, *chunks):
+        return netproto.MessageStream(ChunkSocket(*chunks), max_line=max_line).recv()
+
+    def test_line_at_the_cap_is_accepted(self):
+        assert self.read(self.SIZE, self.LINE) == decode_line(self.LINE)
+
+    def test_line_over_the_cap_in_one_chunk_is_rejected(self):
+        with pytest.raises(ProtocolError, match=f"exceeds {self.SIZE - 1} bytes"):
+            self.read(self.SIZE - 1, self.LINE)
+
+    def test_line_over_the_cap_across_chunks_is_rejected(self):
+        cut = self.SIZE // 2
+        with pytest.raises(ProtocolError, match=f"exceeds {self.SIZE - 1} bytes"):
+            self.read(self.SIZE - 1, self.LINE[:cut], self.LINE[cut:])
+        # with no newline in sight the stream stops reading past the cap
+        stream = netproto.MessageStream(ChunkSocket(b"x" * 8, b"x" * 8, b"\n"), max_line=10)
+        with pytest.raises(ProtocolError, match="exceeds 10 bytes"):
+            stream.recv()
+        assert stream.sock.chunks == [b"\n"]
+
+    def test_lines_come_out_whole_and_in_order_wherever_the_chunks_split(self):
+        first, second = Message("BYE", {}).encode(), self.LINE
+        data = first + second
+        for cut in range(1, len(data)):
+            stream = netproto.MessageStream(ChunkSocket(data[:cut], data[cut:]),
+                                            max_line=self.SIZE)
+            assert stream.recv() == decode_line(first)
+            assert stream.recv() == decode_line(second)
+            with pytest.raises(ProtocolError, match="closed mid-message"):
+                stream.recv()
 
 
 class TestRound:
@@ -547,6 +721,59 @@ class TestErrors:
         assert coordinator._awaiting_register == 0
         coordinator._abort("test cleanup")
         thread.join(timeout=10)
+
+
+def fake_coordinator(public_size, sha, entries):
+    """Serve one join: acknowledge it, read its votes, answer with ``entries``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as lines:
+            register = json.loads(lines.readline())
+            pid = register["payload"]["participant_id"]
+            conn.sendall(Message("REGISTER_ACK", {
+                "participant_id": pid, "n_participants": 1,
+                "unlabeled_size": public_size, "dataset_sha256": sha}).encode())
+            lines.readline()
+            conn.sendall(Message("BUNDLE", {"participant_id": pid,
+                                            "entries": entries}).encode())
+            lines.readline()  # until the client closes
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+@pytest.mark.parametrize("fault", ["index", "order", "category"])
+def test_join_reports_a_bad_bundle_before_retraining(monkeypatch, fault):
+    config = small_config(n=1)
+    data = build_round_data(config)
+    size = len(data.unlabeled)
+    category = data.shards[0].label_space.categories[0]
+    entries, text = {
+        "index": ([{"category": category, "indices": [0, size]}],
+                  f"index {size} for category {category}, outside the public dataset "
+                  f"of {size} rows"),
+        "order": ([{"category": category, "indices": [5, 2]}],
+                  "malformed bundle: indices must be strictly ascending"),
+        "category": ([{"category": 999, "indices": [0]}],
+                     "category 999, outside the label space"),
+    }[fault]
+
+    def retrain(*args):
+        raise AssertionError("join retrained on a bundle it had not checked")
+
+    monkeypatch.setattr(orch.Participant, "baseline", retrain)
+    listener, thread = fake_coordinator(size, array_sha(data.unlabeled), entries)
+    try:
+        with pytest.raises(ProtocolError, match=re.escape(text)):
+            join_participant(config, data, 0, listener.getsockname()[:2])
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
 
 
 def register_raw(address, pid, label_space):
