@@ -28,14 +28,17 @@ verify alignment, and bundles reference public-dataset indices only. Messages
 therefore carry nothing but category ids, indices, and metadata - no feature
 values from any local dataset ever appear on the wire.
 
-The round is a barrier: the coordinator aggregates exactly once, after all N
-prediction vectors arrive, then sends each participant only its own bundle. A
-straggler timeout, a duplicate registration of a live participant id, a
-malformed line, or a prediction outside the declared label space aborts or
-rejects per the error contract. At most 2N connections may wait for their
-REGISTER line at once; one more is told so in an ERROR and closed. Once the
-round has completed or aborted, every connection still being read from is
-told so in an ERROR and closed, so ``serve`` returns without waiting for it.
+The coordinator serves the round from one thread: a ``selectors`` loop over
+the listener and every connection, whose timeout is the round's deadline. It
+aggregates exactly once, after all N prediction vectors arrive, then sends each
+participant only its own bundle, queued until the socket takes it, so a peer
+that stops reading holds back no one else. A straggler timeout, a duplicate
+registration of a live participant id, a malformed line, a prediction outside
+the declared label space, a participant that hangs up, or one that has not
+read its bundle by the deadline aborts or rejects per the error contract. At
+most 2N connections may wait for their REGISTER line at once; one more is told
+so in an ERROR and closed. Once the round is over, every connection still open
+is told so, with the cause, in an ERROR and closed, and ``serve`` returns.
 
 ``join`` runs the same participant step as the in-process round,
 ``orchestrator.Participant``: it votes before connecting and retrains once
@@ -47,10 +50,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import selectors
 import socket
-import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -106,10 +108,6 @@ def _int_array(v):
         return None
     values.flags.writeable = False
     return values
-
-
-def _is_int_list(v):
-    return _int_array(v) is not None
 
 
 def _entries(v):
@@ -287,51 +285,51 @@ class MessageStream:
     """
 
     def __init__(self, sock: socket.socket, max_line: int = DEFAULT_MAX_LINE,
-                 transcript: list | None = None, transcript_lock=None, peer: str = ""):
+                 transcript: list | None = None, peer: str = ""):
         self.sock = sock
         self.max_line = max_line
         self.buffer = bytearray()
+        self.lines: list[bytearray] = []
         self.transcript = transcript
-        self.transcript_lock = transcript_lock or threading.Lock()
         self.peer = peer
 
     def _record(self, direction: str, message: Message):
         if self.transcript is not None:
-            entry = {"direction": direction, "peer": self.peer,
-                     "message": {"v": message.v, "kind": message.kind,
-                                 "payload": _plain(message.payload)}}
-            with self.transcript_lock:
-                self.transcript.append(entry)
+            self.transcript.append({"direction": direction, "peer": self.peer,
+                                    "message": {"v": message.v, "kind": message.kind,
+                                                "payload": _plain(message.payload)}})
 
     def send(self, message: Message):
         self._record("send", message)
         self.sock.sendall(message.encode())
 
-    def _read_line(self) -> bytearray:
-        end = self.buffer.find(b"\n")
-        while end < 0 and len(self.buffer) <= self.max_line:
-            scanned = len(self.buffer)
+    def feed(self, chunk: bytes) -> list[bytearray]:
+        """The whole lines that ``chunk`` completes, without their newlines.
+
+        The bytes after the last newline wait in ``buffer`` for the next chunk.
+        """
+        start, scanned = 0, len(self.buffer)
+        self.buffer += chunk
+        lines = []
+        end = self.buffer.find(b"\n", scanned)
+        while end >= 0 and end - start <= self.max_line:
+            lines.append(self.buffer[start:end])
+            start = end + 1
+            end = self.buffer.find(b"\n", start)
+        del self.buffer[:start]
+        if end >= 0 or len(self.buffer) > self.max_line:
+            raise ProtocolError(f"message line exceeds {self.max_line} bytes")
+        return lines
+
+    def recv(self) -> Message:
+        while not self.lines:
             chunk = self.sock.recv(65536)
             if not chunk:
                 raise ProtocolError("connection closed mid-message")
-            self.buffer += chunk
-            end = self.buffer.find(b"\n", scanned)
-        if not 0 <= end <= self.max_line:
-            raise ProtocolError(f"message line exceeds {self.max_line} bytes")
-        line = self.buffer[:end]
-        del self.buffer[:end + 1]
-        return line
-
-    def recv(self) -> Message:
-        message = decode_line(self._read_line())
+            self.lines += self.feed(chunk)
+        message = decode_line(self.lines.pop(0))
         self._record("recv", message)
         return message
-
-    def try_send_error(self, text: str):
-        try:
-            self.send(Message("ERROR", {"text": text}))
-        except OSError:
-            pass
 
     def close(self):
         try:
@@ -391,214 +389,214 @@ def bundle_from_payload(payload: dict, label_space: LabelSpace,
     return bundle
 
 
+class _Connection(MessageStream):
+    """A coordinator's connection: the message it awaits, and its unsent output.
+
+    ``state`` is "REGISTER", "PREDICTIONS" or "BUNDLE" while the connection is
+    in the round, and "DONE" once it is owed nothing but its queued output.
+    """
+
+    def __init__(self, sock: socket.socket, max_line: int, transcript: list, peer: str):
+        super().__init__(sock, max_line, transcript, peer)
+        self.state = "REGISTER"
+        self.pid: int | None = None
+        self.out = bytearray()
+
+    def queue(self, message: Message):
+        self._record("send", message)
+        self.out += message.encode()
+
+    def finish(self, text: str):
+        self.state = "DONE"
+        self.queue(Message("ERROR", {"text": text}))
+
+    def flush(self):
+        del self.out[:self.sock.send(self.out)]
+
+
 class Coordinator:
-    """Runs one aggregation round for N remote participants."""
+    """Runs one aggregation round for N remote participants, in the thread that serves."""
 
     def __init__(self, settings: CoordinatorSettings):
         self.settings = settings
         self.listener: socket.socket | None = None
         self.address: tuple[str, int] | None = None
-        self._lock = threading.Lock()
-        self._transcript_lock = threading.Lock()
         self._spaces: dict[int, LabelSpace] = {}
         self._predictions: dict[int, np.ndarray] = {}
         self._bundles: dict[int, PseudolabelBundle] = {}
         self._pseudo_sets: dict[int, PseudolabelSet] = {}
         self._abort_reason: str | None = None
-        self._awaiting_register = 0
-        self._open: set[socket.socket] = set()
-        self._over = False
-        self._deadline = 0.0
+        self._selector: selectors.BaseSelector | None = None
         self.transcript: list = []
-        # The barrier reaches the coordinator through a weak reference: a bound
-        # method would make a reference cycle, and a finished coordinator, with
-        # its transcript, would then live until the next full collection.
-        aggregate_once = weakref.WeakMethod(self._aggregate_once)
-        self._barrier = threading.Barrier(settings.n_participants,
-                                          action=lambda: aggregate_once()())
 
     def bind(self, host: str = "127.0.0.1", port: int = 0):
         self.listener = socket.create_server((host, port))
-        self.listener.settimeout(0.2)
+        self.listener.setblocking(False)
         self.address = self.listener.getsockname()[:2]
         return self.address
 
-    def _record_abort(self, reason: str):
-        with self._lock:
-            if self._abort_reason is None:
-                self._abort_reason = reason
+    def _connections(self) -> list[_Connection]:
+        return [key.data for key in self._selector.get_map().values() if key.data is not None]
 
-    def _abort(self, reason: str):
-        self._record_abort(reason)
-        self._barrier.abort()
+    def _over(self) -> bool:
+        """Whether the round has aborted, or every participant's bundle is written."""
+        return self._abort_reason is not None or bool(self._bundles) and all(
+            conn.pid is None for conn in self._connections())
 
-    def _aggregate_once(self):
-        # barrier action: runs exactly once, in whichever thread trips last,
-        # after all N prediction vectors are in
-        n = self.settings.n_participants
+    def _accept(self):
         try:
-            pseudo_sets, bundles = coordinate(
-                [self._predictions[i] for i in range(n)], [self._spaces[i] for i in range(n)],
-                self.settings.alpha, self.settings.unlabeled_size, self.settings.weights,
-                self.settings.global_conflict_removal)
+            sock, addr = self.listener.accept()
+        except (BlockingIOError, ConnectionAbortedError):
+            return  # the peer left before it was accepted
+        sock.setblocking(False)
+        awaiting = sum(conn.state == "REGISTER" for conn in self._connections())
+        conn = _Connection(sock, self.settings.max_line, self.transcript,
+                           peer=f"{addr[0]}:{addr[1]}")
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        # room for every participant at once, and as many strays again
+        cap = 2 * self.settings.n_participants
+        if awaiting >= cap:
+            conn.finish(f"coordinator busy: {cap} connections already awaiting REGISTER")
+
+    def _service(self, conn: _Connection, events: int):
+        """Write what ``conn``'s socket takes, then read and act on what it sent."""
+        try:
+            if events & selectors.EVENT_WRITE:
+                conn.flush()
+            if events & selectors.EVENT_READ and conn.state != "DONE":
+                chunk = conn.sock.recv(65536)
+                if not chunk:
+                    raise ProtocolError("connection closed mid-message")
+                for line in conn.feed(chunk):
+                    if conn.state == "DONE":
+                        break
+                    self._step(conn, decode_line(line))
+            return
+        except BlockingIOError:
+            return  # readiness can be spurious
+        except (ProtocolError, OSError, ValueError) as exc:
+            # only a registered participant's failure ends the round
+            reason, abort = str(exc), conn.pid is not None
         except Exception as exc:
-            # The barrier breaks when this raises; record the cause first so
-            # every waiting participant is told it, not a straggler timeout.
-            self._record_abort(str(exc))
-            raise
-        with self._lock:
-            self._pseudo_sets = pseudo_sets
-            self._bundles = dict(enumerate(bundles))
+            # a coordinator defect: report its real cause and end the round
+            log.exception("coordinator step for %s failed", conn.peer)
+            reason, abort = f"{type(exc).__name__}: {exc}", True
+        if conn.state == "DONE":
+            conn.out.clear()  # its socket failed: nothing more can be written
+        else:
+            conn.finish(reason)
+        if abort:
+            self._abort_reason = reason
 
-    def _handle(self, conn: socket.socket, peer: str):
-        conn.settimeout(self.settings.timeout_s)
-        stream = MessageStream(conn, self.settings.max_line, self.transcript,
-                               self._transcript_lock, peer=peer)
-        participant = None
-        try:
-            try:
-                register = stream.recv()
-            finally:
-                with self._lock:
-                    self._awaiting_register -= 1
-            if register.v != PROTOCOL_VERSION:
-                stream.try_send_error(
-                    f"protocol version mismatch: coordinator speaks {PROTOCOL_VERSION}, "
-                    f"client sent {register.v}")
-                return
-            if register.kind != "REGISTER":
-                stream.try_send_error(f"expected REGISTER, got {register.kind}")
-                return
-            pid = register.payload["participant_id"]
-            if not 0 <= pid < self.settings.n_participants:
-                stream.try_send_error(
-                    f"participant id {pid} outside [0, {self.settings.n_participants})")
-                return
-            if register.payload["train_size"] < 1:
-                stream.try_send_error(
-                    f"participant {pid} registered an empty local dataset")
-                return
-            space = LabelSpace(tuple(register.payload["label_space"].tolist()))
-            with self._lock:
-                if pid in self._spaces:
-                    stream.try_send_error(f"participant {pid} is already registered")
-                    return
-                self._spaces[pid] = space
-            participant = pid
-            stream.send(Message("REGISTER_ACK", {
+    def _step(self, conn: _Connection, message: Message):
+        """Check one message from ``conn`` against the one it awaits, and act on it."""
+        conn._record("recv", message)
+        n, pid = self.settings.n_participants, conn.pid
+        if conn.state == "REGISTER":
+            if message.v != PROTOCOL_VERSION:
+                raise ProtocolError(f"protocol version mismatch: coordinator speaks "
+                                    f"{PROTOCOL_VERSION}, client sent {message.v}")
+            if message.kind != "REGISTER":
+                raise ProtocolError(f"expected REGISTER, got {message.kind}")
+            pid = message.payload["participant_id"]
+            if not 0 <= pid < n:
+                raise ProtocolError(f"participant id {pid} outside [0, {n})")
+            if message.payload["train_size"] < 1:
+                raise ProtocolError(f"participant {pid} registered an empty local dataset")
+            space = LabelSpace(tuple(message.payload["label_space"].tolist()))
+            if pid in self._spaces:
+                raise ProtocolError(f"participant {pid} is already registered")
+            self._spaces[pid] = space
+            conn.pid, conn.state = pid, "PREDICTIONS"
+            conn.queue(Message("REGISTER_ACK", {
                 "participant_id": pid,
-                "n_participants": self.settings.n_participants,
+                "n_participants": n,
                 "unlabeled_size": self.settings.unlabeled_size,
                 "dataset_sha256": self.settings.dataset_sha256,
             }))
-
-            predictions = stream.recv()
-            if predictions.kind != "PREDICTIONS":
-                raise ProtocolError(f"expected PREDICTIONS, got {predictions.kind}")
-            if predictions.payload["participant_id"] != pid:
-                raise ProtocolError("PREDICTIONS participant id does not match REGISTER")
-            labels = predictions.payload["labels"]
-            if len(labels) != self.settings.unlabeled_size:
-                raise ProtocolError(
-                    f"prediction vector length {len(labels)} != announced "
-                    f"{self.settings.unlabeled_size}")
-            outside = np.setdiff1d(labels, np.array(space.categories, dtype=np.int64))
-            if len(outside):
-                raise ProtocolError(
-                    f"participant {pid} predicted categories {outside.tolist()[:5]} "
-                    f"outside its declared label space")
-            with self._lock:
-                self._predictions[pid] = labels
-
-            remaining = max(self._deadline - time.monotonic(), 0.01)
-            self._barrier.wait(timeout=remaining)
-            entries = entries_payload(self._bundles[pid].entries)
-            stream.send(Message("BUNDLE", {"participant_id": pid, "entries": entries}))
-            stream.send(Message("BYE", {}))
-        except threading.BrokenBarrierError:
-            reason = self._abort_reason or "timed out waiting for stragglers"
-            stream.try_send_error(f"round aborted: {reason}")
-        except (ProtocolError, socket.timeout, OSError, ValueError) as exc:
-            reason = self._abort_reason
-            if self._over and (reason is not None or participant is None):
-                # serve ended this read: the round aborted, or it completed without
-                # this unregistered connection (a registered one's failure aborts)
-                stream.try_send_error(f"round aborted: {reason}" if reason is not None
-                                      else "round already completed")
-                return
-            stream.try_send_error(str(exc))
-            if participant is not None:
-                # a registered participant failed: the round cannot complete
-                self._abort(str(exc))
-        except Exception as exc:
-            # a coordinator defect: report its real cause and end the round
-            # rather than let the exception kill this thread
-            log.exception("coordinator handler for %s failed", peer)
-            reason = f"{type(exc).__name__}: {exc}"
-            stream.try_send_error(reason)
-            self._abort(reason)
-        finally:
-            with self._lock:
-                self._open.discard(conn)
-                stream.close()
-
-    def _end_reads(self):
-        """Wake every handler still blocked on a read once the round is over."""
-        with self._lock:
-            self._over = True
-            for conn in self._open:
-                try:
-                    conn.shutdown(socket.SHUT_RD)
-                except OSError:
-                    pass
+            return
+        if conn.state != "PREDICTIONS":
+            raise ProtocolError(f"expected no message before BUNDLE, got {message.kind}")
+        if message.kind != "PREDICTIONS":
+            raise ProtocolError(f"expected PREDICTIONS, got {message.kind}")
+        if message.payload["participant_id"] != pid:
+            raise ProtocolError("PREDICTIONS participant id does not match REGISTER")
+        labels = message.payload["labels"]
+        if len(labels) != self.settings.unlabeled_size:
+            raise ProtocolError(
+                f"prediction vector length {len(labels)} != announced "
+                f"{self.settings.unlabeled_size}")
+        outside = np.setdiff1d(labels, np.array(self._spaces[pid].categories, dtype=np.int64))
+        if len(outside):
+            raise ProtocolError(
+                f"participant {pid} predicted categories {outside.tolist()[:5]} "
+                f"outside its declared label space")
+        self._predictions[pid] = labels
+        conn.state = "BUNDLE"
+        if len(self._predictions) < n:
+            return
+        pseudo_sets, bundles = coordinate(
+            [self._predictions[i] for i in range(n)], [self._spaces[i] for i in range(n)],
+            self.settings.alpha, self.settings.unlabeled_size, self.settings.weights,
+            self.settings.global_conflict_removal)
+        self._pseudo_sets = pseudo_sets
+        self._bundles = dict(enumerate(bundles))
+        for waiting in self._connections():
+            if waiting.state == "BUNDLE":
+                waiting.state = "DONE"
+                entries = entries_payload(self._bundles[waiting.pid].entries)
+                waiting.queue(Message("BUNDLE", {"participant_id": waiting.pid,
+                                                 "entries": entries}))
+                waiting.queue(Message("BYE", {}))
 
     def serve(self) -> ServeResult:
-        """Accept connections and run the round to completion or abort."""
+        """Accept connections and run the round to completion or abort, in this thread."""
         if self.listener is None:
             self.bind()
-        self._deadline = time.monotonic() + self.settings.timeout_s
-        threads: list[threading.Thread] = []
+        deadline = time.monotonic() + self.settings.timeout_s
+        self._selector = selectors.DefaultSelector()
         try:
-            while time.monotonic() < self._deadline:
-                with self._lock:
-                    done = len(self._bundles) == self.settings.n_participants
-                if done or self._abort_reason is not None:
+            self._selector.register(self.listener, selectors.EVENT_READ)
+            while not self._over():
+                timeout = deadline - time.monotonic()
+                if timeout <= 0:
+                    late = sorted(conn.pid for conn in self._connections()
+                                  if conn.pid is not None)
+                    self._abort_reason = (f"timed out sending bundles to participants {late}"
+                                          if self._bundles else "timed out waiting for stragglers")
                     break
-                try:
-                    conn, addr = self.listener.accept()
-                except socket.timeout:
-                    continue
-                peer = f"{addr[0]}:{addr[1]}"
-                # room for every participant at once, and as many strays again
-                cap = 2 * self.settings.n_participants
-                with self._lock:
-                    admitted = self._awaiting_register < cap
-                    if admitted:
-                        self._awaiting_register += 1
-                        self._open.add(conn)
-                if not admitted:
-                    # a thread would wait up to timeout_s for this REGISTER line
-                    stream = MessageStream(conn, transcript=self.transcript,
-                                           transcript_lock=self._transcript_lock, peer=peer)
-                    stream.try_send_error(f"coordinator busy: {cap} connections already "
-                                          f"awaiting REGISTER")
-                    stream.close()
-                    continue
-                thread = threading.Thread(target=self._handle, args=(conn, peer), daemon=True)
-                thread.start()
-                threads.append(thread)
-            else:
-                self._abort("timed out waiting for stragglers")
-            self._end_reads()
-            for thread in threads:
-                thread.join(timeout=self.settings.timeout_s)
+                for key, events in self._selector.select(timeout):
+                    if self._abort_reason is not None:
+                        break
+                    if key.data is None:
+                        self._accept()
+                    else:
+                        self._service(key.data, events)
+                for conn in self._connections():
+                    events = ((selectors.EVENT_READ if conn.state != "DONE" else 0)
+                              | (selectors.EVENT_WRITE if conn.out else 0))
+                    if events:
+                        self._selector.modify(conn.sock, events, conn)
+                    else:
+                        self._selector.unregister(conn.sock)
+                        conn.close()
+            # the one place that tells every connection still in the round why it is over
+            reason = self._abort_reason
+            for conn in self._connections():
+                if conn.state != "DONE":
+                    conn.finish("round already completed" if reason is None
+                                else f"round aborted: {reason}")
         finally:
+            for conn in self._connections():
+                try:
+                    conn.flush()
+                except OSError:
+                    pass
+                conn.close()
+            self._selector.close()
             self.listener.close()
         if self._abort_reason is not None:
             return ServeResult(status=f"aborted: {self._abort_reason}",
-                               transcript=self.transcript)
-        if len(self._bundles) != self.settings.n_participants:
-            return ServeResult(status="aborted: round incomplete",
                                transcript=self.transcript)
         return ServeResult(status="completed", bundles=dict(self._bundles),
                            pseudo_sets=dict(self._pseudo_sets),

@@ -216,7 +216,7 @@ DECODED_VALUES = st.one_of(
 @example({"1": 1})
 @settings(max_examples=400, deadline=None)
 def test_property_int_list_check_matches_per_element_reference(value):
-    assert netproto._is_int_list(value) is reference_is_int_list(value)
+    assert (netproto._int_array(value) is not None) is reference_is_int_list(value)
 
 
 # sha256 of two lines as json.dumps wrote them before int lists were arrays:
@@ -497,8 +497,10 @@ class TestErrors:
         assert reply["kind"] == "ERROR"
         assert "parse" in reply["payload"]["text"]
         raw.close()
-        coordinator._abort("test cleanup")
-        thread.join(timeout=10)
+        # the stray connection was turned away; the participant still completes the round
+        join_participant(config, data, 0, address)
+        thread.join(timeout=30)
+        assert box["result"].status == "completed"
 
     def test_version_mismatch_rejected(self):
         config = small_config(n=1)
@@ -511,8 +513,10 @@ class TestErrors:
         assert reply["kind"] == "ERROR"
         assert "version mismatch" in reply["payload"]["text"]
         raw.close()
-        coordinator._abort("test cleanup")
-        thread.join(timeout=10)
+        # the stray connection was turned away; the participant still completes the round
+        join_participant(config, data, 0, address)
+        thread.join(timeout=30)
+        assert box["result"].status == "completed"
 
     def test_duplicate_registration_rejected(self):
         config = small_config(n=1)
@@ -590,8 +594,10 @@ class TestErrors:
         assert reply["kind"] == "ERROR"
         assert "empty local dataset" in reply["payload"]["text"]
         raw.close()
-        coordinator._abort("test cleanup")
-        thread.join(timeout=10)
+        # the stray connection was turned away; the participant still completes the round
+        join_participant(config, data, 0, address)
+        thread.join(timeout=30)
+        assert box["result"].status == "completed"
 
     def test_straggler_timeout_aborts(self):
         config = small_config(n=2)
@@ -625,8 +631,9 @@ class TestErrors:
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
         with pytest.raises(ProtocolError, match="hash mismatch"):
             join_participant(config, data, 0, address, sha="0" * 64)
-        coordinator._abort("test cleanup")
+        # the client hung up after registering: the round ends with that cause
         thread.join(timeout=10)
+        assert box["result"].status == "aborted: connection closed mid-message"
 
     def test_learner_failure_names_participant_before_connecting(self, monkeypatch):
         def fail(*args):
@@ -692,8 +699,8 @@ class TestErrors:
         idle.close()
 
     def test_awaiting_register_count_survives_concurrent_connections(self):
-        # more threads than cores open and drop connections at once; a lost
-        # update to the coordinator's count would leave it off zero
+        # more threads than cores open and drop connections at once; one left
+        # counted as awaiting REGISTER would keep a participant out
         config = small_config(n=3)
         data = build_round_data(config)
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
@@ -718,9 +725,18 @@ class TestErrors:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert replies == ["ERROR"] * 40
-        assert coordinator._awaiting_register == 0
-        coordinator._abort("test cleanup")
-        thread.join(timeout=10)
+        # every churned connection has left the REGISTER count: all 3 participants get in
+        results = {}
+        clients = [threading.Thread(
+            target=lambda i=i: results.update({i: join_participant(config, data, i, address)}))
+            for i in range(3)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60)
+        thread.join(timeout=60)
+        assert box["result"].status == "completed"
+        assert sorted(results) == [0, 1, 2]
 
 
 def fake_coordinator(public_size, sha, entries):
@@ -881,6 +897,56 @@ class TestPromptAborts:
         for raw in (silent, bad):
             raw.close()
         self.finish(thread, box, started)
+
+
+class TestPeerFaults:
+    """A participant that hangs up or stops reading is reported by its cause, in time."""
+
+    def test_hang_up_after_voting_aborts_the_round_at_once(self):
+        size = 60
+        coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
+            n_participants=2, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
+            timeout_s=6.0))
+        leaving, waiting = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
+        send_labels(leaving, 0, [0] * size)
+        leaving.file.close()
+        leaving.close()
+        left = time.monotonic()
+        assert waiting.recv() == {"v": 1, "kind": "ERROR", "payload": {
+            "text": "round aborted: connection closed mid-message"}}
+        assert time.monotonic() - left < 1
+        waiting.close()
+        thread.join(timeout=10)
+        assert box["result"].status == "aborted: connection closed mid-message"
+
+    def test_peer_that_stops_reading_holds_back_no_one(self):
+        # each bundle admits all 1e6 indices, about 6.9 MB: more than the
+        # socket buffers of a peer that never reads can take
+        size, timeout_s = 10 ** 6, 4.0
+        started = time.monotonic()
+        coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
+            n_participants=2, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
+            timeout_s=timeout_s))
+        deaf = socket.socket()
+        deaf.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        deaf.connect(address)
+        for doc in ({"v": 1, "kind": "REGISTER", "payload": {
+                        "participant_id": 0, "label_space": [0, 1], "train_size": 5}},
+                    {"v": 1, "kind": "PREDICTIONS", "payload": {
+                        "participant_id": 0, "labels": [0] * size}}):
+            deaf.sendall(json.dumps(doc).encode() + b"\n")
+        reader = register_raw(address, 1, [0, 1])
+        send_labels(reader, 1, [0] * size)
+        bundle = reader.recv()
+        assert bundle["kind"] == "BUNDLE"
+        assert len(bundle["payload"]["entries"][0]["indices"]) == size
+        assert time.monotonic() - started < timeout_s - 1
+        thread.join(timeout=timeout_s + 5)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < timeout_s + 1
+        assert box["result"].status == "aborted: timed out sending bundles to participants [0]"
+        deaf.close()
+        reader.close()
 
 
 class TestLifetime:
