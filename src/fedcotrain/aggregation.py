@@ -19,10 +19,12 @@ index by ``np.divmod``, which gives them in the same row-major order a 2-D
 ``np.nonzero`` would.
 
 Before the vote, each participant's votes are checked and mapped to those
-positions through the row's distinct values only: ``np.unique`` finds them
-and the inverse map, ``np.searchsorted`` places each distinct value in the
-union once, and the inverse spreads the positions back over the row. Dense
-and sparse category ids take this one path.
+positions by ``own_positions``, which sorts nothing: a vote's position in the
+voter's own sorted label space is the number of its own categories below it,
+counted with one comparison pass per category, and a vote is valid when the
+category at that position is the vote itself. A small per-voter table then
+takes own positions to union positions. Dense and sparse category ids take
+this one path; the wire coordinator runs the same check as each vote arrives.
 
 A participant's bundle is the restriction of the admitted index sets to its
 own label space, with any index claimed by two or more of those sets dropped
@@ -140,6 +142,19 @@ class CredibilityWeights:
 VOTE_CHUNK_CELLS = 2 ** 18
 
 
+def own_positions(row: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map a row of votes to positions in the voter's own sorted label space.
+
+    ``own`` is the voter's categories, ascending int64. Returns each vote's
+    position, the count of own categories below it (at most ``len(own) - 1``),
+    and the mask of votes that are own categories. Exact for any int64 ids.
+    """
+    pos = np.zeros(len(row), dtype=np.min_scalar_type(len(own)))
+    for category in own[:-1]:
+        pos += row > category
+    return pos, own.take(pos) == row
+
+
 def _validate_votes(predictions: Sequence[np.ndarray],
                     label_spaces: Sequence[LabelSpace],
                     alpha: float, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,24 +175,25 @@ def _validate_votes(predictions: Sequence[np.ndarray],
         raise AggregationError("public dataset size must be >= 1")
     union = np.array(category_union(label_spaces), dtype=np.int64)
     owned = np.zeros((len(label_spaces), len(union)), dtype=bool)
-    for i, space in enumerate(label_spaces):
-        owned[i, np.searchsorted(union, np.array(space.categories, dtype=np.int64))] = True
     dense = np.empty((len(predictions), size), dtype=np.int32)
-    for i, vector in enumerate(predictions):
+    for i, (vector, space) in enumerate(zip(predictions, label_spaces)):
+        own = np.sort(np.array(space.categories, dtype=np.int64))
+        # own position -> union position, for this voter
+        table = np.searchsorted(union, own).astype(np.int32)
+        owned[i, table] = True
         row = np.asarray(vector, dtype=np.int64)
         if row.ndim != 1 or len(row) != size:
             raise AggregationError(
                 f"participant {i}: prediction vector length {row.shape} != {size}"
             )
-        values, inverse = np.unique(row, return_inverse=True)
-        pos = np.minimum(np.searchsorted(union, values), len(union) - 1)
-        valid = (union[pos] == values) & owned[i, pos]
+        pos, valid = own_positions(row, own)
         if not valid.all():
-            bad = row[np.argmin(valid[inverse])]
+            bad = row[np.argmin(valid)]
             raise AggregationError(
                 f"participant {i}: predicted category {bad} outside declared label space"
             )
-        dense[i] = pos[inverse]
+        # every position is below len(own), so "clip" only skips a buffered check
+        np.take(table, pos, out=dense[i], mode="clip")
     return union, owned, dense
 
 

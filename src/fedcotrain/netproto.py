@@ -30,15 +30,18 @@ values from any local dataset ever appear on the wire.
 
 The coordinator serves the round from one thread: a ``selectors`` loop over
 the listener and every connection, whose timeout is the round's deadline. It
-aggregates exactly once, after all N prediction vectors arrive, then sends each
-participant only its own bundle, queued until the socket takes it, so a peer
-that stops reading holds back no one else. A straggler timeout, a duplicate
-registration of a live participant id, a malformed line, a prediction outside
-the declared label space, a participant that hangs up, or one that has not
-read its bundle by the deadline aborts or rejects per the error contract. At
-most 2N connections may wait for their REGISTER line at once; one more is told
-so in an ERROR and closed. Once the round is over, every connection still open
-is told so, with the cause, in an ERROR and closed, and ``serve`` returns.
+checks each prediction vector against its sender's label space as it arrives,
+with the vote's own per-row check (``aggregation.own_positions``), so a bad vote
+is reported at once rather than after the last one. It aggregates exactly once,
+after all N prediction vectors arrive, then sends each participant only its own
+bundle, queued until the socket takes it, so a peer that stops reading holds
+back no one else. A straggler timeout, a duplicate registration of a live
+participant id, a malformed line, a prediction outside the declared label
+space, a participant that hangs up, or one that has not read its bundle by the
+deadline aborts or rejects per the error contract. At most 2N connections may
+wait for their REGISTER line at once; one more is told so in an ERROR and
+closed. Once the round is over, every connection still open is told so, with
+the cause, in an ERROR and closed, and ``serve`` returns.
 
 ``join`` runs the same participant step as the in-process round,
 ``orchestrator.Participant``: it votes before connecting and retrains once
@@ -59,7 +62,7 @@ from typing import Iterable
 import numpy as np
 
 from .aggregation import (AggregationError, CredibilityWeights, PseudolabelBundle,
-                          PseudolabelSet)
+                          PseudolabelSet, own_positions)
 # Unused here (coordinate and Participant call them); kept for the benchmark tracer.
 from .aggregation import aggregate, aggregate_weighted, build_bundle, remove_global_conflicts
 from .domain import LabeledDataset, LabelSpace, UnlabeledDataset
@@ -526,11 +529,12 @@ class Coordinator:
             raise ProtocolError(
                 f"prediction vector length {len(labels)} != announced "
                 f"{self.settings.unlabeled_size}")
-        outside = np.setdiff1d(labels, np.array(self._spaces[pid].categories, dtype=np.int64))
-        if len(outside):
-            raise ProtocolError(
-                f"participant {pid} predicted categories {outside.tolist()[:5]} "
-                f"outside its declared label space")
+        own = np.sort(np.array(self._spaces[pid].categories, dtype=np.int64))
+        _, valid = own_positions(labels, own)
+        if not valid.all():
+            outside = np.unique(labels[~valid])[:5].tolist()
+            raise ProtocolError(f"participant {pid} predicted categories {outside} "
+                                f"outside its declared label space")
         self._predictions[pid] = labels
         conn.state = "BUNDLE"
         if len(self._predictions) < n:

@@ -13,6 +13,7 @@ from fedcotrain.aggregation import (
     aggregate,
     aggregate_weighted,
     build_bundle,
+    own_positions,
     remove_global_conflicts,
 )
 from fedcotrain.domain import LabelSpace
@@ -113,6 +114,15 @@ class TestAggregate:
                                match=f"participant 1: predicted category {stray} outside"):
                 aggregate([votes[0], np.array([big + 3, stray, big + 3])], sparse,
                           alpha=0.4, size=3)
+
+    def test_error_names_first_bad_vote_in_row_order(self):
+        # the first bad vote (7) is neither the smallest (-2) nor the largest
+        spaces = [LabelSpace((5, 0)), LabelSpace((0, 5))]
+        votes = [np.array([0, 5, 0, 5, 0]), np.array([0, 7, 5, -2, 3])]
+        with pytest.raises(AggregationError) as info:
+            aggregate(votes, spaces, alpha=0.5, size=5)
+        assert str(info.value) == \
+            "participant 1: predicted category 7 outside declared label space"
 
 
 class TestAggregateWeighted:
@@ -397,3 +407,22 @@ def test_property_unit_weight_equivalence(problem):
     weights = CredibilityWeights.uniform(len(spaces))
     assert as_plain(aggregate_weighted(preds, spaces, weights, 0.35, size)) == \
         as_plain(aggregate(preds, spaces, 0.35, size))
+
+
+# Own label spaces of k categories, k across the uint8 -> uint16 accumulator
+# boundary, with dense or sparse ids; votes hit every own category's
+# neighbourhood, both ends of the space and both ends of int64.
+@given(st.sampled_from([1, 2, 5, 20, 255, 256, 300]), st.sampled_from([1, 3, 10**12 + 1]),
+       st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_property_own_positions_match_searchsorted_and_isin(k, stride, offset, seed):
+    rng = np.random.default_rng(seed)
+    own = offset + stride * np.sort(rng.choice(2 * k, size=k, replace=False))
+    edges = np.array([-2 ** 63, -1, 0, own[0] - 1, own[-1] + 1, own[-1] + stride,
+                      2 ** 63 - 1], dtype=np.int64)
+    pool = np.concatenate([own, own - 1, own + 1, -own - 1, edges])
+    row = rng.choice(pool, size=int(rng.integers(1, 400)))
+    pos, valid = own_positions(row, own)
+    assert np.array_equal(pos, np.minimum(np.searchsorted(own, row), k - 1))
+    assert np.array_equal(valid, np.isin(row, own))
+    assert np.array_equal(own[pos[valid]], row[valid])

@@ -114,6 +114,8 @@ class RawClient:
         return json.loads(line)
 
     def close(self):
+        # the makefile reader holds the descriptor too: close both to hang up
+        self.file.close()
         self.sock.close()
 
 
@@ -898,6 +900,23 @@ class TestPromptAborts:
             raw.close()
         self.finish(thread, box, started)
 
+    def test_outside_votes_error_names_first_five_distinct_sorted(self):
+        # seven distinct outsiders, in no order, a negative one and 2**40
+        # among them: the ERROR names the five smallest, ascending, once each
+        size, address, thread, box, started = self.start()
+        silent, bad = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
+        labels = [0, 1, 11, -3, 2 ** 40, 8, 11, 10, 9, 12, -3] + [1] * (size - 11)
+        send_labels(bad, 1, labels)
+        text = ("participant 1 predicted categories [-3, 8, 9, 10, 11] "
+                "outside its declared label space")
+        assert bad.recv() == {"v": 1, "kind": "ERROR", "payload": {"text": text}}
+        assert silent.recv() == {"v": 1, "kind": "ERROR",
+                                 "payload": {"text": f"round aborted: {text}"}}
+        for raw in (silent, bad):
+            raw.close()
+        self.finish(thread, box, started)
+        assert box["result"].status == f"aborted: {text}"
+
 
 class TestPeerFaults:
     """A participant that hangs up or stops reading is reported by its cause, in time."""
@@ -909,7 +928,6 @@ class TestPeerFaults:
             timeout_s=6.0))
         leaving, waiting = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
         send_labels(leaving, 0, [0] * size)
-        leaving.file.close()
         leaving.close()
         left = time.monotonic()
         assert waiting.recv() == {"v": 1, "kind": "ERROR", "payload": {
