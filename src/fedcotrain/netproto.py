@@ -529,8 +529,7 @@ class Coordinator:
             raise ProtocolError(
                 f"prediction vector length {len(labels)} != announced "
                 f"{self.settings.unlabeled_size}")
-        own = np.sort(np.array(self._spaces[pid].categories, dtype=np.int64))
-        _, valid = own_positions(labels, own)
+        _, valid = own_positions(labels, self._spaces[pid])
         if not valid.all():
             outside = np.unique(labels[~valid])[:5].tolist()
             raise ProtocolError(f"participant {pid} predicted categories {outside} "

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcotrain.aggregation import (
+    OWN_PASSES_MAX,
     AggregationError,
     CredibilityWeights,
     PseudolabelBundle,
@@ -409,11 +410,11 @@ def test_property_unit_weight_equivalence(problem):
         as_plain(aggregate(preds, spaces, 0.35, size))
 
 
-# Own label spaces of k categories, k across the uint8 -> uint16 accumulator
-# boundary, with dense or sparse ids; votes hit every own category's
+# Own label spaces of k categories, k on both sides of OWN_PASSES_MAX, given
+# in no order, with dense or sparse ids; votes hit every own category's
 # neighbourhood, both ends of the space and both ends of int64.
-@given(st.sampled_from([1, 2, 5, 20, 255, 256, 300]), st.sampled_from([1, 3, 10**12 + 1]),
-       st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([1, 2, 5, 20, OWN_PASSES_MAX, OWN_PASSES_MAX + 1, 255, 300]),
+       st.sampled_from([1, 3, 10**12 + 1]), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_property_own_positions_match_searchsorted_and_isin(k, stride, offset, seed):
     rng = np.random.default_rng(seed)
@@ -422,7 +423,7 @@ def test_property_own_positions_match_searchsorted_and_isin(k, stride, offset, s
                       2 ** 63 - 1], dtype=np.int64)
     pool = np.concatenate([own, own - 1, own + 1, -own - 1, edges])
     row = rng.choice(pool, size=int(rng.integers(1, 400)))
-    pos, valid = own_positions(row, own)
+    pos, valid = own_positions(row, LabelSpace(tuple(rng.permutation(own).tolist())))
     assert np.array_equal(pos, np.minimum(np.searchsorted(own, row), k - 1))
     assert np.array_equal(valid, np.isin(row, own))
     assert np.array_equal(own[pos[valid]], row[valid])

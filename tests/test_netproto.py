@@ -937,6 +937,24 @@ class TestPeerFaults:
         thread.join(timeout=10)
         assert box["result"].status == "aborted: connection closed mid-message"
 
+    def test_large_label_space_does_not_hold_the_loop_past_its_deadline(self):
+        # participant 0 declares 2e5 categories and votes on 1e5 instances;
+        # participant 1 never comes, so the round times out at 2 s, and the
+        # check of 0's vote may not keep the loop from that deadline
+        size, k = 100_000, 200_000
+        coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
+            n_participants=2, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
+            timeout_s=2.0))
+        started = time.monotonic()
+        big = register_raw(address, 0, list(range(0, 2 * k, 2)))
+        send_labels(big, 0, list(range(2 * size - 2, -1, -2)))
+        assert big.recv() == {"v": 1, "kind": "ERROR", "payload": {
+            "text": "round aborted: timed out waiting for stragglers"}}
+        assert time.monotonic() - started < 3.0
+        big.close()
+        thread.join(timeout=10)
+        assert box["result"].status == "aborted: timed out waiting for stragglers"
+
     def test_peer_that_stops_reading_holds_back_no_one(self):
         # each bundle admits all 1e6 indices, about 6.9 MB: more than the
         # socket buffers of a peer that never reads can take
