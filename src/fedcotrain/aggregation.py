@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import LabelSpace
+from .domain import LabelSpace, category_id
 
 
 class AggregationError(ValueError):
@@ -81,7 +81,7 @@ class PseudolabelSet:
             raise AggregationError("indices must be strictly ascending")
         values.flags.writeable = False
         object.__setattr__(self, "indices", values)
-        object.__setattr__(self, "category", int(self.category))
+        object.__setattr__(self, "category", category_id(self.category))
 
     def __eq__(self, other):
         if not isinstance(other, PseudolabelSet):

@@ -411,8 +411,7 @@ def _sweep(args, name: str, key: str, width: int, spec: str, run) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    return _sweep(args, "alpha", "alpha", 6, ".3g",
-                  lambda fed, alphas: [(e.alpha, e.report) for e in sweep_alpha(fed, alphas)])
+    return _sweep(args, "alpha", "alpha", 6, ".3g", sweep_alpha)
 
 
 def cmd_sweep_size(args) -> int:

@@ -15,6 +15,7 @@ byte-identical arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,19 @@ class DomainError(ValueError):
     """Invalid spec, malformed dataset, or impossible draw."""
 
 
+def category_id(value) -> CategoryId:
+    """``value`` as a category id: an integer as it is, anything else an error.
+
+    A float or a string is never truncated or parsed, and a bool is no id.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"category id {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """Ordered set of category ids a single task can emit."""
@@ -37,7 +51,7 @@ class LabelSpace:
     categories: tuple[int, ...]
 
     def __post_init__(self):
-        cats = tuple(int(c) for c in self.categories)
+        cats = tuple(category_id(c) for c in self.categories)
         if not cats:
             raise DomainError("label space must be non-empty")
         if len(set(cats)) != len(cats):
@@ -439,7 +453,7 @@ def generate_unlabeled(source, size: int, strategy: str, seed: int, *,
 # ---------------------------------------------------------------------------
 # CSV I/O
 #
-# Comma-separated, optional single header row. Features are decimal floats
+# Comma-separated, with a single header row. Features are decimal floats
 # written with 17 significant digits (lossless for float64); a labeled file
 # carries a trailing integer column named "label".
 # ---------------------------------------------------------------------------
@@ -472,18 +486,16 @@ def _parse_cell(text: str, line_no: int, col: int) -> float:
         ) from None
 
 
-def load_csv(path, label_space: LabelSpace | None = None,
-             labeled: bool | None = None) -> LabeledDataset | UnlabeledDataset:
-    """Load a dataset written by ``save_csv`` (or any rectangular numeric CSV).
+def load_csv(path, label_space: LabelSpace | None = None) -> LabeledDataset | UnlabeledDataset:
+    """Load a dataset in the format ``save_csv`` writes.
 
-    A header is detected when the first row has any non-numeric cell; a file
-    is treated as labeled when its header ends with "label", or when
-    ``labeled=True`` is forced for headerless files. With ``label_space``
-    given, every label is checked against it.
+    The first row is the header, so it must have a cell that is not a number.
+    The file is labeled when the header's last column is "label"; with
+    ``label_space`` given, every label is checked against it.
     """
     path = Path(path)
-    raw_lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()]
-    rows = [ln.split(",") for ln in raw_lines if ln.strip() != ""]
+    rows = [ln.split(",") for ln in path.read_text(encoding="utf-8").splitlines()
+            if ln.strip() != ""]
     if not rows:
         raise DomainError(f"{path}: file is empty")
 
@@ -494,19 +506,10 @@ def load_csv(path, label_space: LabelSpace | None = None,
         except ValueError:
             return False
 
-    has_header = not all(_is_number(c) for c in rows[0])
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        data_rows = rows[1:]
-        first_line = 2
-        if labeled is None:
-            labeled = bool(header) and header[-1] == "label"
-    else:
-        data_rows = rows
-        first_line = 1
-        if labeled is None:
-            labeled = False
-
+    if all(_is_number(c) for c in rows[0]):
+        raise DomainError(f"{path}: the first row holds only numbers; expected a header row")
+    labeled = rows[0][-1].strip() == "label"
+    data_rows = rows[1:]
     if not data_rows:
         raise DomainError(f"{path}: no data rows")
     width = len(data_rows[0])
@@ -516,7 +519,7 @@ def load_csv(path, label_space: LabelSpace | None = None,
     features = []
     labels = []
     for offset, cells in enumerate(data_rows):
-        line_no = first_line + offset
+        line_no = 2 + offset
         if len(cells) != width:
             raise DomainError(
                 f"line {line_no}: ragged row with {len(cells)} cells, expected {width}"

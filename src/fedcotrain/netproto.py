@@ -20,7 +20,9 @@ integers on the wire and a read-only int64 array in memory, on both sides.
 other value with ``json``; its bytes are exactly those of
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` on the same message
 with lists in place of arrays. ``decode_line`` turns each int list into an
-array in one step, rejecting any value outside int64.
+array in one step, rejecting any value outside int64. A transcript records
+each message's payload as it was sent or decoded, arrays included; only a
+file writer turns them into lists.
 
 The coordinator never transmits instances: the public dataset is published
 out-of-band as a file whose content hash rides in REGISTER_ACK so clients can
@@ -212,17 +214,6 @@ def _write_json(value, out: list) -> None:
         out.append(text.encode())
 
 
-def _plain(value):
-    """``value`` with every array in it written as a list: a plain JSON value."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_plain(item) for item in value]
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class Message:
     """One wire message; two are equal when they encode to the same bytes."""
@@ -300,7 +291,7 @@ class MessageStream:
         if self.transcript is not None:
             self.transcript.append({"direction": direction, "peer": self.peer,
                                     "message": {"v": message.v, "kind": message.kind,
-                                                "payload": _plain(message.payload)}})
+                                                "payload": message.payload}})
 
     def send(self, message: Message):
         self._record("send", message)
@@ -643,7 +634,11 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
             f"participant {participant_id} has an empty local dataset; refusing to register")
 
     participant = Participant(participant_id, kind, label_space, train, test, public, config)
+    # the transcript keeps the arrays sent, so they are read-only like those received
     vector = participant.vote()
+    vector.flags.writeable = False
+    categories = np.array(label_space.categories, dtype=np.int64)
+    categories.flags.writeable = False
 
     transcript: list = []
     try:
@@ -655,7 +650,7 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
     try:
         stream.send(Message("REGISTER", {
             "participant_id": participant_id,
-            "label_space": np.array(label_space.categories, dtype=np.int64),
+            "label_space": categories,
             "train_size": len(train),
         }))
         ack = stream.recv()

@@ -530,29 +530,18 @@ def run_round(config: FederationConfig) -> RoundResult:
     return _complete(_prepare(config), config.alpha)
 
 
-@dataclass(frozen=True)
-class AlphaSweepEntry:
-    alpha: float
-    report: RoundReport
-    total_pseudolabels: int
-
-
-def sweep_alpha(config: FederationConfig, alphas: Sequence[float]) -> list[AlphaSweepEntry]:
+def sweep_alpha(config: FederationConfig,
+                alphas: Sequence[float]) -> list[tuple[float, RoundReport]]:
     """Re-run the round at each threshold over identical data and seeds.
 
-    Local training and voting happen once; each entry equals a standalone
-    ``run_round`` with that alpha.
+    Local training and voting happen once; each ``(alpha, report)`` pair's
+    report equals a standalone ``run_round`` with that alpha.
     """
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise DomainError(f"alpha must lie in [0, 1], got {a}")
     prep = _prepare(config)
-    entries = []
-    for a in alphas:
-        result = _complete(prep, a)
-        entries.append(AlphaSweepEntry(alpha=a, report=result.report,
-                                       total_pseudolabels=result.report.total_pseudolabels))
-    return entries
+    return [(a, _complete(prep, a).report) for a in alphas]
 
 
 def sweep_unlabeled_size(config: FederationConfig,

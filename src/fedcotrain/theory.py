@@ -23,7 +23,7 @@ federation round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -138,20 +138,7 @@ class RoundAnalysis:
     pairwise_disagreement: tuple[tuple[float, ...], ...]
 
     def to_records(self) -> list[dict]:
-        records = []
-        for p in self.participants:
-            records.append({
-                "record": "analysis",
-                "participant": p.participant,
-                "labeled_size": p.labeled_size,
-                "pseudo_size": p.pseudo_size,
-                "base_error": p.base_error,
-                "helper_error": p.helper_error,
-                "helper_disagreement": p.helper_disagreement,
-                "retrained_bound": p.retrained_bound,
-                "budget": p.budget,
-                "condition_holds": p.condition_holds,
-            })
+        records = [{"record": "analysis", **asdict(p)} for p in self.participants]
         records.append({
             "record": "pairwise_disagreement",
             "matrix": [list(row) for row in self.pairwise_disagreement],

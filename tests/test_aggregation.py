@@ -17,7 +17,7 @@ from fedcotrain.aggregation import (
     own_positions,
     remove_global_conflicts,
 )
-from fedcotrain.domain import LabelSpace
+from fedcotrain.domain import DomainError, LabelSpace
 
 
 def oracle_aggregate(predictions, label_spaces, alpha, size, weights=None):
@@ -242,6 +242,11 @@ class TestPseudolabelSet:
     def test_rejects_bad_indices(self, indices, message):
         with pytest.raises(AggregationError, match=message):
             PseudolabelSet(0, indices)
+
+    @pytest.mark.parametrize("category", [1.5, 2.0, "3", True])
+    def test_rejects_category_ids_that_are_not_integers(self, category):
+        with pytest.raises(DomainError, match=f"category id {category!r} is not an integer"):
+            PseudolabelSet(category, [1, 2])
 
     @pytest.mark.parametrize("indices", [
         np.array([1, 5, 2 ** 40]),

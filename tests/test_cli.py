@@ -290,6 +290,15 @@ class TestSweeps:
         assert totals == sorted(totals, reverse=True)
         assert totals[-1] == 0
 
+    def test_alpha_sweep_bytes_are_pinned(self, config_path, tmp_path):
+        # Frozen while each sweep entry copied its report's total: the
+        # records' bytes must not depend on how the sweep hands reports over.
+        out = tmp_path / "s"
+        main(["sweep-alpha", "--config", str(config_path), "--out", str(out),
+              "--alphas", "0,0.25,0.5,0.75,1"])
+        digest = hashlib.sha256((out / "sweep_alpha.jsonl").read_bytes()).hexdigest()
+        assert digest == "36cedf3d6ec813a3eb632c77e52de9104b4e8049d755bcc598bb883a1cff2185"
+
     def test_size_sweep_rows(self, config_path, tmp_path):
         out = tmp_path / "s"
         code = main(["sweep-size", "--config", str(config_path), "--out", str(out),
@@ -332,6 +341,13 @@ class TestAnalyze:
                    (out / "analysis.jsonl").read_text().splitlines()]
         assert sum(1 for r in records if r["record"] == "analysis") == 3
         assert any(r["record"] == "pairwise_disagreement" for r in records)
+
+    def test_analysis_bytes_are_pinned(self, config_path, tmp_path):
+        # Frozen while each analysis record listed its fields by hand.
+        out = tmp_path / "a"
+        main(["analyze", "--config", str(config_path), "--out", str(out)])
+        digest = hashlib.sha256((out / "analysis.jsonl").read_bytes()).hexdigest()
+        assert digest == "ff7ad0a289da8e8b7bf58b3968f6a7225fa9212c204f409f7d553d01f6713190"
 
 
 class TestServeJoin:
@@ -442,6 +458,25 @@ class TestServeJoin:
                      *command[1:]])
         assert code == EXIT_CONFIG
         assert f"config error: {path}: missing key '{missing}'" in capsys.readouterr().err
+
+    def test_join_rejects_a_label_space_that_is_not_integers(self, config_path, tmp_path,
+                                                             capsys):
+        # the first id plus 0.5 would truncate to a category the shard has,
+        # so the round would run under a label space the manifest does not say
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(config_path), "--out", str(data_dir)])
+        path = data_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        first, *rest = manifest["participants"][0]["label_space"]
+        manifest["participants"][0]["label_space"] = [first + 0.5, *rest]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        # nothing listens on the port: the error must come before connecting
+        code = main(["join", "--config", str(config_path), "--data", str(data_dir),
+                     "--participant", "0", "--addr", f"127.0.0.1:{free_port()}",
+                     "--timeout", "1"])
+        assert code == EXIT_RUNTIME
+        assert f"category id {first + 0.5} is not an integer" in capsys.readouterr().err
 
     def test_serve_timeout_without_clients_exits_4(self, config_path, tmp_path):
         data_dir = tmp_path / "data"

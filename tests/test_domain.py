@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,20 @@ class TestLabelSpace:
         assert 2 in a and 4 not in a
         assert a.overlaps(b) and not a.overlaps(c)
         assert list(a) == [0, 2, 5]
+
+    @pytest.mark.parametrize("categories, bad", [
+        ((1.5, 2), 1.5), ((2.0, 3), 2.0), (("3", 4), "3"), ((True, 2), True),
+        ((1, np.float64(4.0)), np.float64(4.0)), ((np.True_, 2), np.True_),
+    ])
+    def test_rejects_category_ids_that_are_not_integers(self, categories, bad):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"category id {bad!r} is not an integer")):
+            LabelSpace(categories)
+
+    def test_numpy_integer_ids_become_python_ints(self):
+        space = LabelSpace((np.int64(3), np.uint8(1)))
+        assert space.categories == (3, 1)
+        assert all(type(c) is int for c in space)
 
 
 class TestDatasets:
@@ -388,11 +404,9 @@ class TestCsv:
         with pytest.raises(DomainError, match="label 9"):
             load_csv(path, label_space=LabelSpace((0, 1)))
 
-    def test_headerless_defaults_to_unlabeled(self, tmp_path):
+    def test_headerless_file_is_rejected(self, tmp_path):
+        # save_csv always writes a header; a first row of numbers is no header
         path = tmp_path / "plain.csv"
         path.write_text("1.0,2\n3.0,4\n", encoding="utf-8")
-        loaded = load_csv(path)
-        assert isinstance(loaded, UnlabeledDataset)
-        forced = load_csv(path, labeled=True)
-        assert isinstance(forced, LabeledDataset)
-        assert forced.labels.tolist() == [2, 4]
+        with pytest.raises(DomainError, match=re.escape(f"{path}: ") + ".*header row"):
+            load_csv(path)

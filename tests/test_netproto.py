@@ -309,8 +309,8 @@ def as_json(value):
 
 
 def reference_json(value):
-    return json.dumps(netproto._plain(value), sort_keys=True,
-                      separators=(",", ":")).encode()
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      default=np.ndarray.tolist).encode()
 
 
 @given(JSON_VALUES | INT64_ARRAYS | JSON_WITH_ARRAYS)
@@ -447,6 +447,42 @@ class TestRound:
         assert all(len(r.bundle) == 0 and r.federated_accuracy == r.local_accuracy
                    for r in results.values())
 
+    def one_participant_transcripts(self):
+        """The coordinator's and the participant's transcripts of a 1-participant round."""
+        config = small_config(n=1)
+        data = build_round_data(config)
+        coordinator, address, thread, box = start_coordinator(settings_for(config, data))
+        result = join_participant(config, data, 0, address)
+        thread.join(timeout=30)
+        assert box["result"].status == "completed"
+        return box["result"].transcript, result.transcript
+
+    def test_transcripts_are_pinned(self):
+        # Frozen while transcripts held lists: each entry, without its peer's
+        # ephemeral port, as the --out files write it.
+        def digest(transcript):
+            lines = [json.dumps({"direction": entry["direction"], "message": entry["message"]},
+                                sort_keys=True, default=np.ndarray.tolist) + "\n"
+                     for entry in transcript]
+            return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+        served, joined = self.one_participant_transcripts()
+        assert digest(served) == "4f4facfc814de99cda91189b972120b0c92d920305a2210700fc905e3b7ecabe"
+        assert digest(joined) == "f0e8b565362bc98d2f4e37904879196ebdc6de6020c493c460ee021df8e39649"
+
+    def test_transcripts_hold_the_wire_arrays(self):
+        served, joined = self.one_participant_transcripts()
+        int_lists = []
+        for entry in served + joined:
+            payload = entry["message"]["payload"]
+            int_lists += [payload[name] for name in ("labels", "label_space") if name in payload]
+            int_lists += [item["indices"] for item in payload.get("entries", [])]
+        # REGISTER, PREDICTIONS and a three-entry BUNDLE, on each side
+        assert len(int_lists) == 10
+        for values in int_lists:
+            assert isinstance(values, np.ndarray) and values.dtype == np.int64
+            assert not values.flags.writeable
+
     def test_predictions_go_up_as_python_ints_equal_to_the_votes(self):
         config = small_config(n=1)
         data = build_round_data(config)
@@ -460,7 +496,8 @@ class TestRound:
         clf = train_local(config.participants[0].learner, shard.label_space,
                           shard.train, participant_train_config(config, 0))
         votes = pseudolabel(clf, data.unlabeled)
-        [labels] = [entry["message"]["payload"]["labels"] for entry in result.transcript
+        [labels] = [json.loads(Message(**entry["message"]).encode())["payload"]["labels"]
+                    for entry in result.transcript
                     if entry["message"]["kind"] == "PREDICTIONS"]
         assert {type(v) for v in labels} == {int}
         assert labels == votes.tolist()
@@ -484,8 +521,9 @@ class TestRound:
         transcript = box["result"].transcript + result.transcript
         assert transcript
         for entry in transcript:
-            validate_message(entry["message"])
-            assert no_floats(entry["message"])
+            doc = json.loads(Message(**entry["message"]).encode())
+            validate_message(doc)
+            assert no_floats(doc)
 
 
 class TestErrors:

@@ -179,24 +179,24 @@ class TestRoundData:
 class TestSweepAlpha:
     def test_totals_non_increasing_and_empty_at_one(self):
         entries = sweep_alpha(small_config(), [0.0, 0.3, 1.0])
-        totals = [e.total_pseudolabels for e in entries]
+        totals = [report.total_pseudolabels for _, report in entries]
         assert totals == sorted(totals, reverse=True)
         assert totals[-1] == 0
 
     def test_singleton_matches_run_round(self):
         cfg = small_config(alpha=0.25)
-        (entry,) = sweep_alpha(cfg, [0.25])
-        assert entry.report.to_jsonl() == run_round(cfg).report.to_jsonl()
+        ((_, report),) = sweep_alpha(cfg, [0.25])
+        assert report.to_jsonl() == run_round(cfg).report.to_jsonl()
 
     def test_repeated_alpha_identical(self):
-        entries = sweep_alpha(small_config(), [0.2, 0.2])
-        assert entries[0].report.to_jsonl() == entries[1].report.to_jsonl()
+        (_, first), (_, second) = sweep_alpha(small_config(), [0.2, 0.2])
+        assert first.to_jsonl() == second.to_jsonl()
 
     def test_each_entry_matches_standalone_round(self):
         cfg = small_config()
-        for entry in sweep_alpha(cfg, [0.0, 0.5]):
-            standalone = run_round(dataclasses.replace(cfg, alpha=entry.alpha))
-            assert entry.report.to_jsonl() == standalone.report.to_jsonl()
+        for alpha, report in sweep_alpha(cfg, [0.0, 0.5]):
+            standalone = run_round(dataclasses.replace(cfg, alpha=alpha))
+            assert report.to_jsonl() == standalone.report.to_jsonl()
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(DomainError):
