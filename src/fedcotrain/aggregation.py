@@ -13,33 +13,36 @@ the sorted union of label spaces and sums weights with one ``np.bincount``
 per chunk of public indices. A chunk holds about ``VOTE_CHUNK_CELLS``
 (category, index) cells, so the vote's scratch memory does not grow with
 the public dataset size. Every bin sums in participant order, which keeps
-float results reproducible. A chunk's admitted cells are found with one
-``np.flatnonzero`` over its category-major cells and split into category and
-index by ``np.divmod``, which gives them in the same row-major order a 2-D
+float results reproducible. A chunk's cell numbers and its division by the
+owner totals are computed in place. A chunk's admitted cells are found with
+one ``np.flatnonzero`` over its category-major cells and split into category
+and index by ``np.divmod``, which gives them in the same row-major order a 2-D
 ``np.nonzero`` would.
 
 Before the vote, each participant's votes are checked and mapped to those
 positions by ``own_positions``: a vote's position in the voter's own sorted
 label space is the number of its own categories below it, and a vote is valid
-when the category at that position is the vote itself. For a label space of at
-most ``OWN_PASSES_MAX`` categories it sorts nothing and counts them with one
-comparison pass per category; a larger space would make that O(U*k), so there
-the row's distinct values are sorted and placed once instead, at a cost that
-does not grow with k. A small per-voter table then takes own positions to union
-positions. Dense and sparse category ids take this one path; the wire
-coordinator runs the same check as each vote arrives.
+when the category at that position is the vote itself. When the space's
+largest id is below the row's length, a table of that many positions gives
+every vote's position with one ``take``; otherwise the row's distinct values
+are sorted and placed once. The table costs O(U) for a row of U votes, the
+sort O(U log U), whatever the size of the space. A small per-voter table
+then takes own positions to union positions. The wire coordinator runs the
+same check as each vote arrives.
 
 A participant's bundle is the restriction of the admitted index sets to its
 own label space, with any index claimed by two or more of those sets dropped
-from all of them so the bundle never carries contradictory labels. One value
-sort finds the repeats: the sets' indices are concatenated and sorted, and
-equal neighbours are the shared values. Which values repeat does not depend
-on how equal values are ordered, so no stable argsort is needed, and
-``np.isin`` marks every occurrence of a shared value in the sets. A bundle
-checks that its entries are disjoint with the same sort, without the mask.
-An index set holds its indices as a read-only, one-dimensional int64 array,
-from the vote to the wire: the sort, the conflict masks and the bundle's
-rows work on it directly, and only the JSON boundary turns it into a list.
+from all of them so the bundle never carries contradictory labels.
+``_repeated`` marks the shared positions of the sets' concatenated indices.
+Public-set indices are dense, so it usually counts every index with one
+``np.bincount`` and takes each count back; when the largest index is at least
+``COUNT_TABLE_RATIO`` times the index count (sets from the wire may name any
+int64), it sorts the indices instead, finds equal neighbours and marks
+them with ``np.isin``. A bundle checks that its entries are disjoint with the
+same helper. An index set holds its indices as a read-only, one-dimensional
+int64 array, from the vote to the wire: the count, the sort, the conflict
+masks and the bundle's rows work on it directly, and only the JSON boundary
+turns it into a list.
 """
 
 from __future__ import annotations
@@ -103,10 +106,10 @@ class PseudolabelBundle:
         cats = [e.category for e in self.entries]
         if any(b <= a for a, b in zip(cats, cats[1:])):
             raise AggregationError("bundle entries must be sorted by category")
-        _, overlap = _repeated(self.entries)
-        if len(overlap):
+        flat, shared = _repeated(self.entries)
+        if shared.any():
             raise AggregationError(
-                f"bundle entries overlap on indices {np.unique(overlap)[:5].tolist()}"
+                f"bundle entries overlap on indices {np.unique(flat[shared])[:5].tolist()}"
             )
 
     def __len__(self) -> int:
@@ -145,31 +148,26 @@ class CredibilityWeights:
 VOTE_CHUNK_CELLS = 2 ** 18
 
 
-# Label-space size up to which own_positions counts with one pass per own
-# category. Per row of 1e5 votes the passes and the sort of the row's distinct
-# values cost about the same (3-4 ms) at k = 64; at k = 255 the passes take
-# 12-14 ms against 4-5 ms for the sort, whose cost does not grow with k. Up to
-# 64 categories every position fits in a uint8.
-OWN_PASSES_MAX = 64
-
-
 def own_positions(row: np.ndarray, space: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
     """Map a row of int64 votes to positions in ``space``, sorted ascending.
 
     Returns each vote's position, the count of the space's categories below it
     (at most ``len(space) - 1``), and the mask of votes that lie in the space.
-    Exact for any int64 ids. Up to ``OWN_PASSES_MAX`` categories it sorts
-    nothing; above, it sorts the row's distinct values.
+    Exact for any int64 votes. When the space's largest id is below the row's
+    length, one table of that many positions maps every vote with one ``take``
+    (a vote past either end of the table is clipped to it, where the count is
+    the same); otherwise the row's distinct values are sorted and placed once.
+    Either way the cost does not grow with ``len(space)`` times the row.
     """
     own = np.sort(np.array(space.categories, dtype=np.int64))
-    if len(own) > OWN_PASSES_MAX:
-        values, inverse = np.unique(row, return_inverse=True)
-        pos = np.minimum(np.searchsorted(own, values), len(own) - 1)
-        return pos[inverse], (own.take(pos) == values)[inverse]
-    pos = np.zeros(len(row), dtype=np.uint8)
-    for category in own[:-1]:
-        pos += row > category
-    return pos, own.take(pos) == row
+    if own[-1] < len(row):
+        # category ids are non-negative, so a negative vote has the count of 0
+        table = np.searchsorted(own, np.arange(own[-1] + 1))
+        pos = table.take(row, mode="clip")
+        return pos, own.take(pos) == row
+    values, inverse = np.unique(row, return_inverse=True)
+    pos = np.minimum(np.searchsorted(own, values), len(own) - 1)
+    return pos[inverse], (own.take(pos) == values)[inverse]
 
 
 def _validate_votes(predictions: Sequence[np.ndarray],
@@ -262,15 +260,20 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
         )
     n_cat = len(union)
     width = max(1, VOTE_CHUNK_CELLS // n_cat)
+    columns = np.arange(width, dtype=np.int32)
     hit_cats, hit_indices = [], []
     for lo in range(0, size, width):
         block = dense[:, lo:lo + width]
         span = block.shape[1]
         # Participant-major cells: bincount adds in input order, so each
         # (category, index) bin sums its voters' weights in participant order.
-        cells = (block * span + np.arange(span)).ravel()
-        mass = np.bincount(cells, weights=np.repeat(values, span), minlength=n_cat * span)
-        hits = np.flatnonzero(mass.reshape(n_cat, span) / totals[:, None] > alpha)
+        cells = block * np.int32(span)
+        cells += columns[:span]
+        mass = np.bincount(cells.ravel(), weights=np.repeat(values, span),
+                           minlength=n_cat * span)
+        share = mass.reshape(n_cat, span)
+        share /= totals[:, None]
+        hits = np.flatnonzero(share > alpha)
         cats, cols = np.divmod(hits, span)
         hit_cats.append(cats)
         hit_indices.append(cols + lo)
@@ -282,22 +285,34 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
     return {c: PseudolabelSet(c, indices) for c, indices in zip(union.tolist(), per_category)}
 
 
-def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Find the indices that two or more of the sets share, with one value sort.
+# Index range, as a multiple of the index count, up to which _repeated counts
+# every index in a table instead of sorting them. The table then holds at most
+# this many int64 counts per index, whatever range an index set from the wire
+# spans.
+COUNT_TABLE_RATIO = 8
 
-    Returns the sets' concatenated indices, in entry order, and the shared
-    indices in ascending order (an index shared by k sets appears k - 1
-    times).
+
+def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Find the indices that two or more of the sets share.
+
+    Returns the sets' concatenated indices, in entry order, and the mask of
+    the positions whose index another set holds too. When the largest index is
+    below ``COUNT_TABLE_RATIO`` times the index count, one ``np.bincount`` of
+    every index gives the mask in time linear in the input; otherwise one
+    value sort finds the shared values and ``np.isin`` marks them.
     """
     flat = np.concatenate([e.indices for e in entries]) if entries else np.empty(0, np.int64)
+    # every set is ascending, so the largest index is some set's last
+    top = max((int(e.indices[-1]) for e in entries if len(e)), default=-1)
+    if top < COUNT_TABLE_RATIO * len(flat):
+        return flat, np.bincount(flat).take(flat) > 1
     ordered = np.sort(flat)
-    return flat, ordered[1:][ordered[1:] == ordered[:-1]]
+    return flat, np.isin(flat, ordered[1:][ordered[1:] == ordered[:-1]])
 
 
 def _drop_conflicts(entries: Sequence[PseudolabelSet]) -> list[PseudolabelSet]:
     """Drop every index claimed by two or more of the sets from all of them."""
-    flat, shared = _repeated(entries)
-    mask = np.isin(flat, shared)
+    flat, mask = _repeated(entries)
     out, lo = [], 0
     for entry in entries:
         hi = lo + len(entry)

@@ -3,7 +3,12 @@
 Configs are JSON documents validated strictly: unknown keys are rejected with
 the offending field path. All outputs (reports, manifests, sweep tables) are
 byte-deterministic functions of the config, so reruns with the same master
-seed produce identical files.
+seed produce identical files. That includes the wire round's transcripts:
+``serve --out`` writes a completed round's messages one registered participant
+after another, in participant id order, and neither ``serve`` nor ``join``
+writes a connection's address. An aborted round's ``transcript.jsonl`` is a
+log instead: every message in the order it was sent or read, with its
+connection's address, so it depends on timing.
 
 The document schema is derived from the dataclasses the document builds:
 every field is a key, required when the field has no default and checked
@@ -264,6 +269,11 @@ def _write_jsonl(path: Path, records) -> None:
                             for r in records), encoding="utf-8")
 
 
+def _without_peer(entries) -> list[dict]:
+    """Transcript entries as written: the connection's address left out."""
+    return [{"direction": e["direction"], "message": e["message"]} for e in entries]
+
+
 def cmd_generate_data(args) -> int:
     rc = load_run_config(args.config, args.seed)
     out = _resolve_out(args.out, rc)
@@ -466,7 +476,11 @@ def cmd_serve(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_jsonl(out / "transcript.jsonl", result.transcript)
+        transcript = result.transcript
+        if result.status == "completed":
+            parts = result.participant_transcripts
+            transcript = _without_peer(entry for i in sorted(parts) for entry in parts[i])
+        _write_jsonl(out / "transcript.jsonl", transcript)
         _write_jsonl(out / "bundles.jsonl",
                      [_bundle_record(result.bundles[i]) for i in sorted(result.bundles)])
     print(f"round {result.status}")
@@ -508,7 +522,8 @@ def cmd_join(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_jsonl(out / f"participant_{i:02d}_report.jsonl", [record])
-        _write_jsonl(out / f"participant_{i:02d}_transcript.jsonl", result.transcript)
+        _write_jsonl(out / f"participant_{i:02d}_transcript.jsonl",
+                     _without_peer(result.transcript))
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 

@@ -22,7 +22,8 @@ other value with ``json``; its bytes are exactly those of
 with lists in place of arrays. ``decode_line`` turns each int list into an
 array in one step, rejecting any value outside int64. A transcript records
 each message's payload as it was sent or decoded, arrays included; only a
-file writer turns them into lists.
+file writer turns them into lists. The coordinator's transcript is in arrival
+order, and a completed round also gives each registered participant's part.
 
 The coordinator never transmits instances: the public dataset is published
 out-of-band as a file whose content hash rides in REGISTER_ACK so clients can
@@ -33,11 +34,12 @@ values from any local dataset ever appear on the wire.
 The coordinator serves the round from one thread: a ``selectors`` loop over
 the listener and every connection, whose timeout is the round's deadline. It
 checks each prediction vector against its sender's label space as it arrives,
-with the vote's own per-row check (``aggregation.own_positions``), so a bad vote
-is reported at once rather than after the last one. It aggregates exactly once,
-after all N prediction vectors arrive, then sends each participant only its own
-bundle, queued until the socket takes it, so a peer that stops reading holds
-back no one else. A straggler timeout, a duplicate registration of a live
+with the vote's own per-row check (``aggregation.own_positions``, one table
+lookup per vote when the space's ids are below the vector's length), so a bad
+vote is reported at once rather than after the last one. It aggregates exactly
+once, after all N prediction vectors arrive, then sends each participant only
+its own bundle, queued until the socket takes it, so a peer that stops reading
+holds back no one else. A straggler timeout, a duplicate registration of a live
 participant id, a malformed line, a prediction outside the declared label
 space, a participant that hangs up, or one that has not read its bundle by the
 deadline aborts or rejects per the error contract. At most 2N connections may
@@ -346,10 +348,19 @@ class CoordinatorSettings:
 
 @dataclass
 class ServeResult:
+    """How the round ended, and what it produced.
+
+    ``transcript`` is every message of the round in the order it was sent or
+    read, each with its connection's address. A completed round also has
+    ``participant_transcripts``: each registered participant's entries, in
+    the order its connection recorded them.
+    """
+
     status: str
     bundles: dict[int, PseudolabelBundle] = field(default_factory=dict)
     pseudo_sets: dict[int, PseudolabelSet] = field(default_factory=dict)
     transcript: list = field(default_factory=list)
+    participant_transcripts: dict[int, list] = field(default_factory=dict)
 
 
 def entries_payload(sets: Iterable[PseudolabelSet]) -> list[dict]:
@@ -395,6 +406,11 @@ class _Connection(MessageStream):
         self.state = "REGISTER"
         self.pid: int | None = None
         self.out = bytearray()
+        self.entries: list = []  # this connection's part of the transcript
+
+    def _record(self, direction: str, message: Message):
+        super()._record(direction, message)
+        self.entries.append(self.transcript[-1])
 
     def queue(self, message: Message):
         self._record("send", message)
@@ -419,6 +435,7 @@ class Coordinator:
         self._predictions: dict[int, np.ndarray] = {}
         self._bundles: dict[int, PseudolabelBundle] = {}
         self._pseudo_sets: dict[int, PseudolabelSet] = {}
+        self._entries: dict[int, list] = {}
         self._abort_reason: str | None = None
         self._selector: selectors.BaseSelector | None = None
         self.transcript: list = []
@@ -501,6 +518,7 @@ class Coordinator:
             if pid in self._spaces:
                 raise ProtocolError(f"participant {pid} is already registered")
             self._spaces[pid] = space
+            self._entries[pid] = conn.entries
             conn.pid, conn.state = pid, "PREDICTIONS"
             conn.queue(Message("REGISTER_ACK", {
                 "participant_id": pid,
@@ -594,7 +612,8 @@ class Coordinator:
                                transcript=self.transcript)
         return ServeResult(status="completed", bundles=dict(self._bundles),
                            pseudo_sets=dict(self._pseudo_sets),
-                           transcript=self.transcript)
+                           transcript=self.transcript,
+                           participant_transcripts=dict(self._entries))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcotrain import aggregation
 from fedcotrain.aggregation import (
-    OWN_PASSES_MAX,
     AggregationError,
     CredibilityWeights,
     PseudolabelBundle,
@@ -18,6 +19,7 @@ from fedcotrain.aggregation import (
     remove_global_conflicts,
 )
 from fedcotrain.domain import DomainError, LabelSpace
+from fedcotrain.orchestrator import coordinate
 
 
 def oracle_aggregate(predictions, label_spaces, alpha, size, weights=None):
@@ -285,15 +287,22 @@ def reference_drop_conflicts(families):
     return [tuple(i for i in indices if counts[i] == 1) for indices in families]
 
 
-# Index-set families: possibly empty sets over a small range (many conflicts)
-# or the whole int64 range, under category ids 10^12 apart.
-index_families = st.lists(
-    st.lists(st.one_of(st.integers(0, 30), st.integers(0, 2 ** 63 - 1)),
-             unique=True, max_size=12).map(sorted),
-    min_size=1, max_size=8)
+def index_families(values):
+    """Families of one to eight possibly empty index sets drawn from ``values``."""
+    return st.lists(st.lists(values, unique=True, max_size=12).map(sorted),
+                    min_size=1, max_size=8)
 
 
-@given(index_families, st.data())
+# Index-set families, under category ids 10^12 apart: indices below 8, which
+# conflict removal counts in a table; indices at the top of int64, which it
+# sorts; and a mix of a small range (many conflicts) and the whole int64 range.
+conflict_families = st.one_of(
+    index_families(st.integers(0, 7)),
+    index_families(st.integers(2 ** 63 - 31, 2 ** 63 - 1)),
+    index_families(st.one_of(st.integers(0, 30), st.integers(0, 2 ** 63 - 1))))
+
+
+@given(conflict_families, st.data())
 @settings(max_examples=150, deadline=None)
 def test_property_conflict_removal_matches_counter_reference(families, data):
     categories = [k * 10 ** 12 for k in range(len(families))]
@@ -311,7 +320,7 @@ def test_property_conflict_removal_matches_counter_reference(families, data):
     assert [indices_of(e) for e in bundle.entries] == reference_drop_conflicts(restricted)
 
 
-@given(index_families)
+@given(conflict_families)
 @settings(max_examples=150, deadline=None)
 def test_property_bundle_check_matches_counter_reference(families):
     # The bundle rejects its entries exactly when the Counter rule would drop
@@ -356,6 +365,24 @@ def test_property_oracle_equivalence(problem, alpha):
     preds, spaces, size = problem
     assert as_plain(aggregate(preds, spaces, alpha, size)) == \
         oracle_aggregate(preds, spaces, alpha, size)
+
+
+# Chunks of a few cells: each holds one to a few public indices, and the last
+# one is usually partial.
+@given(vote_problems(), st.sampled_from([7, 64]), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_property_vote_across_chunk_boundaries(problem, cells, weighted, seed, alpha):
+    preds, spaces, size = problem
+    values = (0.25 + np.random.default_rng(seed).random(len(spaces))).tolist() \
+        if weighted else [1.0] * len(spaces)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aggregation, "VOTE_CHUNK_CELLS", cells)
+        unweighted = as_plain(aggregate(preds, spaces, alpha, size))
+        result = as_plain(aggregate_weighted(preds, spaces, CredibilityWeights(tuple(values)),
+                                             alpha, size))
+    assert unweighted == oracle_aggregate(preds, spaces, alpha, size)
+    assert result == oracle_aggregate(preds, spaces, alpha, size, weights=values)
 
 
 @given(vote_problems(), st.sampled_from([(0.0, 0.3), (0.2, 0.5), (0.3, 0.9), (0.5, 1.0)]))
@@ -415,20 +442,62 @@ def test_property_unit_weight_equivalence(problem):
         as_plain(aggregate(preds, spaces, 0.35, size))
 
 
-# Own label spaces of k categories, k on both sides of OWN_PASSES_MAX, given
-# in no order, with dense or sparse ids; votes hit every own category's
-# neighbourhood, both ends of the space and both ends of int64.
-@given(st.sampled_from([1, 2, 5, 20, OWN_PASSES_MAX, OWN_PASSES_MAX + 1, 255, 300]),
-       st.sampled_from([1, 3, 10**12 + 1]), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+# Own label spaces of k categories, given in no order, with dense or sparse
+# ids; votes hit every own category's neighbourhood, both ends of the space and
+# both ends of int64. A row longer than the space's largest id is mapped by a
+# table, a shorter one by sorting its values.
+@given(st.sampled_from([1, 2, 5, 20, 64, 65, 255, 300]),
+       st.one_of(st.tuples(st.sampled_from([1, 3]), st.integers(0, 500), st.just(True)),
+                 st.tuples(st.sampled_from([1, 3, 10**12 + 1]), st.integers(1, 10**6),
+                           st.just(False))),
+       st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_property_own_positions_match_searchsorted_and_isin(k, stride, offset, seed):
+def test_property_own_positions_match_searchsorted_and_isin(k, ids, seed):
+    stride, offset, longer_than_largest_id = ids
     rng = np.random.default_rng(seed)
     own = offset + stride * np.sort(rng.choice(2 * k, size=k, replace=False))
     edges = np.array([-2 ** 63, -1, 0, own[0] - 1, own[-1] + 1, own[-1] + stride,
                       2 ** 63 - 1], dtype=np.int64)
     pool = np.concatenate([own, own - 1, own + 1, -own - 1, edges])
-    row = rng.choice(pool, size=int(rng.integers(1, 400)))
+    length = int(rng.integers(own[-1] + 1, own[-1] + 400)) if longer_than_largest_id \
+        else int(rng.integers(1, min(own[-1], 400) + 1))
+    row = rng.choice(pool, size=length)
+    assert (own[-1] < len(row)) == longer_than_largest_id
     pos, valid = own_positions(row, LabelSpace(tuple(rng.permutation(own).tolist())))
     assert np.array_equal(pos, np.minimum(np.searchsorted(own, row), k - 1))
     assert np.array_equal(valid, np.isin(row, own))
     assert np.array_equal(own[pos[valid]], row[valid])
+
+
+# sha256 of every admitted set and every bundle of one seeded coordinator step,
+# frozen before the vote check, the vote and conflict removal were rewritten:
+# N=12 voters over 40 dense categories and 30,000 public indices (five vote
+# chunks), random weights, with and without global conflict removal.
+COORDINATOR_STEP_SHA256 = "49ef0569deb02c29919ebcf352ce43a20f02ee8fa2c35c69ac8e533a29a8933d"
+
+
+def test_coordinator_step_is_pinned():
+    rng = np.random.default_rng(2024)
+    n, n_c, size = 12, 40, 30_000
+    spaces = [LabelSpace(tuple(sorted(rng.choice(n_c, size=int(rng.integers(3, 21)),
+                                                 replace=False).tolist())))
+              for _ in range(n)]
+    truth = rng.integers(0, n_c, size=size)
+    preds = []
+    for space in spaces:
+        own = np.array(space.categories, dtype=np.int64)
+        guess = own[rng.integers(0, len(own), size=size)]
+        preds.append(np.where(np.isin(truth, own) & (rng.random(size) < 0.85), truth, guess))
+    weights = CredibilityWeights(tuple((0.1 + rng.random(n)).tolist()))
+    digest = hashlib.sha256()
+    for global_conflict_removal in (False, True):
+        pseudo_sets, bundles = coordinate(preds, spaces, 0.6, size, weights,
+                                          global_conflict_removal)
+        for category, pset in pseudo_sets.items():
+            digest.update(f"set {category} {len(pset)}\n".encode())
+            digest.update(pset.indices.tobytes())
+        for bundle in bundles:
+            for entry in bundle.entries:
+                digest.update(f"bundle {bundle.owner} {entry.category} {len(entry)}\n".encode())
+                digest.update(entry.indices.tobytes())
+    assert digest.hexdigest() == COORDINATOR_STEP_SHA256

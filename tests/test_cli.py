@@ -4,6 +4,7 @@ import json
 import re
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,73 @@ class TestServeJoin:
             frag = tmp_path / "joined" / f"participant_{i:02d}_report.jsonl"
             record = json.loads(frag.read_text())
             assert record["participant"] == i
+            transcript = tmp_path / "joined" / f"participant_{i:02d}_transcript.jsonl"
+            assert all(json.loads(line).keys() == {"direction", "message"}
+                       for line in transcript.read_text().splitlines())
+
+    @staticmethod
+    def serve_in_order(config_path, data_dir, out, order):
+        """Serve one round with ``--out``; participants register, then vote, in ``order``.
+
+        Each participant is a raw socket that sends its REGISTER only once the
+        one before it has been acknowledged, so the order is exact.
+        """
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        size = manifest["unlabeled"]["size"]
+        port = free_port()
+        code = {}
+        server = threading.Thread(target=lambda: code.setdefault("serve", main([
+            "serve", "--config", str(config_path), "--data", str(data_dir),
+            "--bind", f"127.0.0.1:{port}", "--timeout", "30", "--out", str(out)])),
+            daemon=True)
+        server.start()
+        clients = {}
+        for i in order:
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+                    break
+                except ConnectionRefusedError:
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.05)
+            reader = sock.makefile("rb")
+            clients[i] = sock, reader
+            space = manifest["participants"][i]["label_space"]
+            sock.sendall(json.dumps({"v": 1, "kind": "REGISTER", "payload": {
+                "participant_id": i, "label_space": space, "train_size": 8}}).encode() + b"\n")
+            assert json.loads(reader.readline())["kind"] == "REGISTER_ACK"
+        for i in order:
+            space = manifest["participants"][i]["label_space"]
+            labels = [space[(j * (i + 1)) % len(space)] for j in range(size)]
+            clients[i][0].sendall(json.dumps({"v": 1, "kind": "PREDICTIONS", "payload": {
+                "participant_id": i, "labels": labels}}).encode() + b"\n")
+        for i in order:
+            sock, reader = clients[i]
+            assert [json.loads(reader.readline())["kind"] for _ in range(2)] == ["BUNDLE", "BYE"]
+            reader.close()
+            sock.close()
+        server.join(timeout=30)
+        assert not server.is_alive()
+        assert code["serve"] == EXIT_OK
+
+    def test_serve_out_files_do_not_depend_on_arrival_order(self, config_path, tmp_path):
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(config_path), "--out", str(data_dir)])
+        digests = []
+        for name, order in (("first", (0, 1, 2)), ("second", (2, 0, 1))):
+            out = tmp_path / name
+            self.serve_in_order(config_path, data_dir, out, order)
+            lines = [json.loads(line)
+                     for line in (out / "transcript.jsonl").read_text().splitlines()]
+            # every message of each participant, grouped by id, without addresses
+            assert [entry["message"]["kind"] for entry in lines] == \
+                ["REGISTER", "REGISTER_ACK", "PREDICTIONS", "BUNDLE", "BYE"] * 3
+            assert all(entry.keys() == {"direction", "message"} for entry in lines)
+            digests.append([hashlib.sha256((out / f).read_bytes()).hexdigest()
+                            for f in ("transcript.jsonl", "bundles.jsonl")])
+        assert digests[0] == digests[1]
 
     def test_join_with_wrong_hash_exits_4(self, config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
