@@ -13,22 +13,23 @@ the sorted union of label spaces and sums weights with one ``np.bincount``
 per chunk of public indices. A chunk holds about ``VOTE_CHUNK_CELLS``
 (category, index) cells, so the vote's scratch memory does not grow with
 the public dataset size. Every bin sums in participant order, which keeps
-float results reproducible. A chunk's cell numbers and its division by the
-owner totals are computed in place. A chunk's admitted cells are found with
-one ``np.flatnonzero`` over its category-major cells and split into category
-and index by ``np.divmod``, which gives them in the same row-major order a 2-D
-``np.nonzero`` would.
+float results reproducible. The vote never divides: each category gets an
+exact admission threshold, the smallest float mass whose quotient by the
+owner total is above ``alpha`` (``_admission_thresholds``), and a cell is
+admitted when its mass reaches it, which is exactly when ``mass / total >
+alpha``. A chunk's cell numbers are computed in place, and its admitted
+cells are found with one ``np.flatnonzero`` over its category-major cells
+and split into category and index by ``np.divmod``, which gives them in the
+same row-major order a 2-D ``np.nonzero`` would.
 
-Before the vote, each participant's votes are checked and mapped to those
-positions by ``own_positions``: a vote's position in the voter's own sorted
-label space is the number of its own categories below it, and a vote is valid
-when the category at that position is the vote itself. When the space's
-largest id is below the row's length, a table of that many positions gives
-every vote's position with one ``take``; otherwise the row's distinct values
-are sorted and placed once. The table costs O(U) for a row of U votes, the
-sort O(U log U), whatever the size of the space. A small per-voter table
-then takes own positions to union positions. The wire coordinator runs the
-same check as each vote arrives.
+Before the vote, each participant's votes are checked and mapped straight to
+union positions by ``vote_positions``, with -1 for a vote outside the voter's
+label space. When every vote lies between 0 and the space's largest id and
+that id is below the row's length, one per-voter table of that many union
+positions maps every vote with one ``take``; otherwise the row's distinct
+values are sorted and placed once. The table costs O(U) for a row of U
+votes, the sort O(U log U), whatever the size of the space. The wire
+coordinator runs the same check as each vote arrives.
 
 A participant's bundle is the restriction of the admitted index sets to its
 own label space, with any index claimed by two or more of those sets dropped
@@ -38,8 +39,10 @@ Public-set indices are dense, so it usually counts every index with one
 ``np.bincount`` and takes each count back; when the largest index is at least
 ``COUNT_TABLE_RATIO`` times the index count (sets from the wire may name any
 int64), it sorts the indices instead, finds equal neighbours and marks
-them with ``np.isin``. A bundle checks that its entries are disjoint with the
-same helper. An index set holds its indices as a read-only, one-dimensional
+them with ``np.isin``. A bundle checks that its entries are disjoint by
+marking them in a one-byte table over the same range (the sort when the
+range is wider), and calls ``_repeated`` only to name the shared indices in
+its error. An index set holds its indices as a read-only, one-dimensional
 int64 array, from the vote to the wire: the count, the sort, the conflict
 masks and the bundle's rows work on it directly, and only the JSON boundary
 turns it into a list.
@@ -78,9 +81,11 @@ class PseudolabelSet:
             raise AggregationError("indices must fit in int64") from None
         if values.ndim != 1:
             raise AggregationError(f"indices must be one-dimensional, got shape {values.shape}")
-        if (values < 0).any():
-            raise AggregationError("indices must be non-negative")
-        if (values[1:] <= values[:-1]).any():
+        # a strictly ascending set that starts at 0 or above is non-negative,
+        # so a valid set takes one pass; a bad one is told the first rule it breaks
+        if len(values) and (values[0] < 0 or (values[1:] <= values[:-1]).any()):
+            if (values < 0).any():
+                raise AggregationError("indices must be non-negative")
             raise AggregationError("indices must be strictly ascending")
         values.flags.writeable = False
         object.__setattr__(self, "indices", values)
@@ -106,6 +111,8 @@ class PseudolabelBundle:
         cats = [e.category for e in self.entries]
         if any(b <= a for a, b in zip(cats, cats[1:])):
             raise AggregationError("bundle entries must be sorted by category")
+        if _disjoint(self.entries):
+            return
         flat, shared = _repeated(self.entries)
         if shared.any():
             raise AggregationError(
@@ -145,29 +152,35 @@ class CredibilityWeights:
 # Cells (categories x public indices) the vote sums at once. Its scratch
 # memory scales with this constant and the participant count, never with the
 # public dataset size.
-VOTE_CHUNK_CELLS = 2 ** 18
+VOTE_CHUNK_CELLS = 2 ** 17
 
 
-def own_positions(row: np.ndarray, space: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Map a row of int64 votes to positions in ``space``, sorted ascending.
+def vote_positions(row: np.ndarray, space: LabelSpace, targets: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Map a row of int64 votes to ``targets``, and every vote outside ``space`` to -1.
 
-    Returns each vote's position, the count of the space's categories below it
-    (at most ``len(space) - 1``), and the mask of votes that lie in the space.
-    Exact for any int64 votes. When the space's largest id is below the row's
-    length, one table of that many positions maps every vote with one ``take``
-    (a vote past either end of the table is clipped to it, where the count is
-    the same); otherwise the row's distinct values are sorted and placed once.
+    ``targets`` holds one int32 position per category of the space, in
+    ascending category order; a vote for the space's j-th smallest category
+    maps to ``targets[j]``. Without it, a vote maps to j itself. Exact for any
+    int64 votes; the int32 result goes to ``out`` when it is given. When every
+    vote lies between 0 and the space's largest id and that id is below the
+    row's length, one table of that many targets maps every vote with one
+    ``take``; otherwise the row's distinct values are sorted and placed once.
     Either way the cost does not grow with ``len(space)`` times the row.
     """
     own = np.sort(np.array(space.categories, dtype=np.int64))
-    if own[-1] < len(row):
-        # category ids are non-negative, so a negative vote has the count of 0
-        table = np.searchsorted(own, np.arange(own[-1] + 1))
-        pos = table.take(row, mode="clip")
-        return pos, own.take(pos) == row
+    if targets is None:
+        targets = np.arange(len(own), dtype=np.int32)
+    top = own[-1]
+    if top < len(row) and row.min() >= 0 and row.max() <= top:
+        table = np.full(top + 1, -1, dtype=np.int32)
+        table[own] = targets
+        # every vote is in the table's range, so "clip" only skips a buffered check
+        return table.take(row, out=out, mode="clip")
     values, inverse = np.unique(row, return_inverse=True)
     pos = np.minimum(np.searchsorted(own, values), len(own) - 1)
-    return pos[inverse], (own.take(pos) == values)[inverse]
+    mapped = np.where(own.take(pos) == values, targets.take(pos), np.int32(-1))
+    return mapped.take(inverse, out=out, mode="clip")
 
 
 def _validate_votes(predictions: Sequence[np.ndarray],
@@ -198,17 +211,15 @@ def _validate_votes(predictions: Sequence[np.ndarray],
             raise AggregationError(
                 f"participant {i}: prediction vector length {row.shape} != {size}"
             )
-        pos, valid = own_positions(row, space)
-        if not valid.all():
-            bad = row[np.argmin(valid)]
+        # the union is sorted, so this voter's union positions, ascending,
+        # follow its categories in ascending order
+        positions = vote_positions(row, space, np.flatnonzero(owned[i]).astype(np.int32),
+                                   out=dense[i])
+        if positions.min() < 0:
+            bad = row[np.argmax(positions < 0)]
             raise AggregationError(
                 f"participant {i}: predicted category {bad} outside declared label space"
             )
-        # the union is sorted, so this voter's union positions, ascending, are
-        # indexed by own position; every position is below len(space), so
-        # "clip" only skips a buffered check
-        table = np.flatnonzero(owned[i]).astype(np.int32)
-        np.take(table, pos, out=dense[i], mode="clip")
     return union, owned, dense
 
 
@@ -249,35 +260,42 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
         )
     values = np.asarray(weights.values, dtype=np.float64)
     # Every sum runs in participant order, so float totals are reproducible
-    # regardless of how callers parallelize around this.
+    # regardless of how callers parallelize around this. A total past the
+    # float range is inf, which admits nothing, as the division would.
     totals = np.zeros(len(union))
-    for value, owns in zip(values, owned):
-        totals += value * owns
+    with np.errstate(over="ignore"):
+        for value, owns in zip(values, owned):
+            totals += value * owns
     unweighted = np.flatnonzero(totals == 0.0)
     if len(unweighted):
         raise AggregationError(
             f"category {union[unweighted[0]]}: every owner has zero credibility weight"
         )
+    thresholds = _admission_thresholds(totals, alpha)[:, None]
     n_cat = len(union)
     width = max(1, VOTE_CHUNK_CELLS // n_cat)
     columns = np.arange(width, dtype=np.int32)
+    cell_weights = np.repeat(values, width)
     hit_cats, hit_indices = [], []
     for lo in range(0, size, width):
         block = dense[:, lo:lo + width]
         span = block.shape[1]
+        if span < width:  # the last chunk
+            cell_weights = np.repeat(values, span)
         # Participant-major cells: bincount adds in input order, so each
         # (category, index) bin sums its voters' weights in participant order.
         cells = block * np.int32(span)
         cells += columns[:span]
-        mass = np.bincount(cells.ravel(), weights=np.repeat(values, span),
-                           minlength=n_cat * span)
-        share = mass.reshape(n_cat, span)
-        share /= totals[:, None]
-        hits = np.flatnonzero(share > alpha)
+        mass = np.bincount(cells.ravel(), weights=cell_weights, minlength=n_cat * span)
+        # a NaN threshold (an infinite total) admits nothing, without a warning
+        with np.errstate(invalid="ignore"):
+            hits = np.flatnonzero(mass.reshape(n_cat, span) >= thresholds)
         cats, cols = np.divmod(hits, span)
         hit_cats.append(cats)
         hit_indices.append(cols + lo)
     cats = np.concatenate(hit_cats)
+    if n_cat <= np.iinfo(np.int16).max:
+        cats = cats.astype(np.int16)  # numpy sorts 16-bit keys stably by radix
     # A stable sort by category keeps each category's indices ascending.
     order = np.argsort(cats, kind="stable")
     per_category = np.split(np.concatenate(hit_indices)[order],
@@ -285,11 +303,50 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
     return {c: PseudolabelSet(c, indices) for c, indices in zip(union.tolist(), per_category)}
 
 
+def _admission_thresholds(totals: np.ndarray, alpha: float) -> np.ndarray:
+    """Each positive total's smallest float mass m with ``m / total > alpha``.
+
+    Correctly rounded division is monotone in m, so ``mass >= threshold``
+    admits exactly the masses that ``mass / total > alpha`` does. No mass
+    passes an infinite total (its quotient is 0 or NaN), whose threshold is
+    NaN. The search starts at ``alpha * total + total * 2**-1075``: the
+    quotient rounds above alpha once it passes alpha by half a float spacing,
+    and a spacing is never below 2**-1074, so the start lies within a few
+    floats of the threshold even when alpha is 0. It then steps up with
+    ``np.nextafter`` until the mass passes and down while the float below it
+    still does.
+    """
+    thresholds = np.full(len(totals), np.nan)
+    finite = np.isfinite(totals)
+    total = totals[finite]
+    mass = alpha * total + np.ldexp(total, -1075)
+    fails = mass / total <= alpha
+    while fails.any():
+        # past the largest float is inf, the threshold when alpha is 1 and
+        # the total is that float
+        with np.errstate(over="ignore"):
+            mass[fails] = np.nextafter(mass[fails], np.inf)
+        fails = mass / total <= alpha
+    below = np.nextafter(mass, 0.0)
+    passes = below / total > alpha
+    while passes.any():
+        mass[passes] = below[passes]
+        below = np.nextafter(mass, 0.0)
+        passes = below / total > alpha
+    thresholds[finite] = mass
+    return thresholds
+
+
 # Index range, as a multiple of the index count, up to which _repeated counts
 # every index in a table instead of sorting them. The table then holds at most
 # this many int64 counts per index, whatever range an index set from the wire
 # spans.
 COUNT_TABLE_RATIO = 8
+
+
+def _largest_index(entries: Sequence[PseudolabelSet]) -> int:
+    # every set is ascending, so the largest index is some set's last
+    return max((int(e.indices[-1]) for e in entries if len(e)), default=-1)
 
 
 def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray]:
@@ -302,12 +359,28 @@ def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray
     value sort finds the shared values and ``np.isin`` marks them.
     """
     flat = np.concatenate([e.indices for e in entries]) if entries else np.empty(0, np.int64)
-    # every set is ascending, so the largest index is some set's last
-    top = max((int(e.indices[-1]) for e in entries if len(e)), default=-1)
-    if top < COUNT_TABLE_RATIO * len(flat):
+    if _largest_index(entries) < COUNT_TABLE_RATIO * len(flat):
         return flat, np.bincount(flat).take(flat) > 1
     ordered = np.sort(flat)
     return flat, np.isin(flat, ordered[1:][ordered[1:] == ordered[:-1]])
+
+
+def _disjoint(entries: Sequence[PseudolabelSet]) -> bool:
+    """Whether a one-byte seen-table shows that no two of the sets share an index.
+
+    Each set's indices are distinct, so the sets are disjoint exactly when
+    they mark as many table slots as they hold indices. False when they
+    share one, and when the largest index is at least ``COUNT_TABLE_RATIO``
+    times the index count, for which no table is built.
+    """
+    count = sum(len(e) for e in entries)
+    top = _largest_index(entries)
+    if top >= COUNT_TABLE_RATIO * count:
+        return False
+    seen = np.zeros(top + 1, dtype=np.uint8)
+    for entry in entries:
+        seen[entry.indices] = 1
+    return np.count_nonzero(seen) == count
 
 
 def _drop_conflicts(entries: Sequence[PseudolabelSet]) -> list[PseudolabelSet]:

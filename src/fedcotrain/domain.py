@@ -35,12 +35,17 @@ def category_id(value) -> CategoryId:
     """``value`` as a category id: an integer as it is, anything else an error.
 
     A float or a string is never truncated or parsed, and a bool is no id.
+    An id must fit in int64, the range the wire and the vote hold ids in.
     """
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if -2 ** 63 <= value < 2 ** 63:
+                return value
+            raise DomainError(f"category id {value} does not fit in int64")
     raise DomainError(f"category id {value!r} is not an integer")
 
 

@@ -34,12 +34,13 @@ values from any local dataset ever appear on the wire.
 The coordinator serves the round from one thread: a ``selectors`` loop over
 the listener and every connection, whose timeout is the round's deadline. It
 checks each prediction vector against its sender's label space as it arrives,
-with the vote's own per-row check (``aggregation.own_positions``, one table
-lookup per vote when the space's ids are below the vector's length), so a bad
-vote is reported at once rather than after the last one. It aggregates exactly
-once, after all N prediction vectors arrive, then sends each participant only
-its own bundle, queued until the socket takes it, so a peer that stops reading
-holds back no one else. A straggler timeout, a duplicate registration of a live
+with the vote's own per-row check (``aggregation.vote_positions``, one table
+lookup per vote when every vote lies between 0 and the space's largest id and
+that id is below the vector's length), so a bad vote is reported at once
+rather than after the last one. It aggregates exactly once, after all N
+prediction vectors arrive, then sends each participant only its own bundle,
+queued until the socket takes it, so a peer that stops reading holds back no
+one else. A straggler timeout, a duplicate registration of a live
 participant id, a malformed line, a prediction outside the declared label
 space, a participant that hangs up, or one that has not read its bundle by the
 deadline aborts or rejects per the error contract. At most 2N connections may
@@ -66,7 +67,7 @@ from typing import Iterable
 import numpy as np
 
 from .aggregation import (AggregationError, CredibilityWeights, PseudolabelBundle,
-                          PseudolabelSet, own_positions)
+                          PseudolabelSet, vote_positions)
 # Unused here (coordinate and Participant call them); kept for the benchmark tracer.
 from .aggregation import aggregate, aggregate_weighted, build_bundle, remove_global_conflicts
 from .domain import LabeledDataset, LabelSpace, UnlabeledDataset
@@ -538,9 +539,9 @@ class Coordinator:
             raise ProtocolError(
                 f"prediction vector length {len(labels)} != announced "
                 f"{self.settings.unlabeled_size}")
-        _, valid = own_positions(labels, self._spaces[pid])
-        if not valid.all():
-            outside = np.unique(labels[~valid])[:5].tolist()
+        bad = vote_positions(labels, self._spaces[pid]) < 0
+        if bad.any():
+            outside = np.unique(labels[bad])[:5].tolist()
             raise ProtocolError(f"participant {pid} predicted categories {outside} "
                                 f"outside its declared label space")
         self._predictions[pid] = labels

@@ -15,8 +15,8 @@ from fedcotrain.aggregation import (
     aggregate,
     aggregate_weighted,
     build_bundle,
-    own_positions,
     remove_global_conflicts,
+    vote_positions,
 )
 from fedcotrain.domain import DomainError, LabelSpace
 from fedcotrain.orchestrator import coordinate
@@ -112,11 +112,20 @@ class TestAggregate:
         votes = [np.array([big, big + 3, big]), np.array([big + 3] * 3)]
         assert as_plain(aggregate(votes, sparse, alpha=0.4, size=3)) == \
             {big: (0, 2), big + 3: (0, 1, 2), big + 7: ()}
-        for stray in (big + 4, big + 9):
+        for stray in (big + 4, big + 9, -1, -2 ** 63, 2 ** 63 - 1):
             with pytest.raises(AggregationError,
                                match=f"participant 1: predicted category {stray} outside"):
                 aggregate([votes[0], np.array([big + 3, stray, big + 3])], sparse,
                           alpha=0.4, size=3)
+        # sparse ids below the row length: the same votes are rejected
+        spaced = [LabelSpace((2, 5, 9)), LabelSpace((5,))]
+        votes = [np.array([2, 5, 9, 2, 5, 9, 2, 5, 9, 2, 5, 9]), np.full(12, 5)]
+        for stray in (4, 10, -1, -2 ** 63, 2 ** 63 - 1):
+            row = votes[1].copy()
+            row[7] = stray
+            with pytest.raises(AggregationError,
+                               match=f"participant 1: predicted category {stray} outside"):
+                aggregate([votes[0], row], spaced, alpha=0.4, size=12)
 
     def test_error_names_first_bad_vote_in_row_order(self):
         # the first bad vote (7) is neither the smallest (-2) nor the largest
@@ -126,6 +135,20 @@ class TestAggregate:
             aggregate(votes, spaces, alpha=0.5, size=5)
         assert str(info.value) == \
             "participant 1: predicted category 7 outside declared label space"
+        # votes below 0, above the largest own id (5), at both ends of int64
+        # and between own ids, each first in rows as long as that id and
+        # longer; and a row within [0, 5] that a table maps
+        bad_votes = [-1, 6, -2 ** 63, 2 ** 63 - 1, 3]
+        rows = [[0, first] + [v for v in bad_votes if v != first] + [5, 5, 5]
+                for first in bad_votes] + [[0, 3, 5, 1, 4, 0, 5, 2, 0]]
+        for length in (5, 9):
+            for row in rows:
+                first, row = row[1], np.array(row[:length])
+                with pytest.raises(AggregationError) as info:
+                    aggregate([np.zeros(length, dtype=np.int64), row], spaces,
+                              alpha=0.5, size=length)
+                assert str(info.value) == \
+                    f"participant 1: predicted category {first} outside declared label space"
 
 
 class TestAggregateWeighted:
@@ -248,6 +271,11 @@ class TestPseudolabelSet:
     @pytest.mark.parametrize("category", [1.5, 2.0, "3", True])
     def test_rejects_category_ids_that_are_not_integers(self, category):
         with pytest.raises(DomainError, match=f"category id {category!r} is not an integer"):
+            PseudolabelSet(category, [1, 2])
+
+    @pytest.mark.parametrize("category", [2 ** 63, -2 ** 63 - 1, 2 ** 70])
+    def test_rejects_category_ids_outside_int64(self, category):
+        with pytest.raises(DomainError, match=f"category id {category} does not fit in int64"):
             PseudolabelSet(category, [1, 2])
 
     @pytest.mark.parametrize("indices", [
@@ -444,29 +472,76 @@ def test_property_unit_weight_equivalence(problem):
 
 # Own label spaces of k categories, given in no order, with dense or sparse
 # ids; votes hit every own category's neighbourhood, both ends of the space and
-# both ends of int64. A row longer than the space's largest id is mapped by a
-# table, a shorter one by sorting its values.
+# both ends of int64, or only values from 0 to the largest own id. A row longer
+# than the space's largest id, all of whose votes lie in that range, is mapped
+# by a table, any other row by sorting its values.
 @given(st.sampled_from([1, 2, 5, 20, 64, 65, 255, 300]),
        st.one_of(st.tuples(st.sampled_from([1, 3]), st.integers(0, 500), st.just(True)),
                  st.tuples(st.sampled_from([1, 3, 10**12 + 1]), st.integers(1, 10**6),
                            st.just(False))),
-       st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_property_own_positions_match_searchsorted_and_isin(k, ids, seed):
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_property_vote_positions_match_searchsorted_and_isin(k, ids, in_range, seed):
     stride, offset, longer_than_largest_id = ids
     rng = np.random.default_rng(seed)
     own = offset + stride * np.sort(rng.choice(2 * k, size=k, replace=False))
     edges = np.array([-2 ** 63, -1, 0, own[0] - 1, own[-1] + 1, own[-1] + stride,
                       2 ** 63 - 1], dtype=np.int64)
     pool = np.concatenate([own, own - 1, own + 1, -own - 1, edges])
+    if in_range:
+        pool = pool[(pool >= 0) & (pool <= own[-1])]
     length = int(rng.integers(own[-1] + 1, own[-1] + 400)) if longer_than_largest_id \
         else int(rng.integers(1, min(own[-1], 400) + 1))
     row = rng.choice(pool, size=length)
     assert (own[-1] < len(row)) == longer_than_largest_id
-    pos, valid = own_positions(row, LabelSpace(tuple(rng.permutation(own).tolist())))
-    assert np.array_equal(pos, np.minimum(np.searchsorted(own, row), k - 1))
-    assert np.array_equal(valid, np.isin(row, own))
-    assert np.array_equal(own[pos[valid]], row[valid])
+    space = LabelSpace(tuple(rng.permutation(own).tolist()))
+    valid = np.isin(row, own)
+    pos = np.minimum(np.searchsorted(own, row), k - 1)
+    targets = rng.choice(2 ** 31 - 1, size=k, replace=False).astype(np.int32)
+    out = np.empty(length, dtype=np.int32)
+    assert vote_positions(row, space, targets, out=out) is out
+    assert np.array_equal(out, np.where(valid, targets[pos], -1))
+    own_only = vote_positions(row, space)
+    assert own_only.dtype == np.int32
+    assert np.array_equal(own_only, np.where(valid, pos, -1))
+
+
+# Totals at both ends of the positive floats and between; alpha at both ends
+# of [0, 1] and between.
+@given(st.one_of(st.sampled_from([5e-324, 1.0, 1e308, float(np.finfo(np.float64).max)]),
+                 st.floats(5e-324, 1e308)),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+@settings(max_examples=300, deadline=None)
+def test_property_admission_threshold_matches_division(total, alpha):
+    threshold = aggregation._admission_thresholds(np.array([total]), alpha)[0]
+    with np.errstate(over="ignore"):  # the float after the largest is inf
+        above = np.nextafter(threshold, np.inf)
+    masses = np.array([np.nextafter(threshold, 0.0), threshold, above])
+    assert np.array_equal(masses >= threshold, [False, True, True])
+    assert np.array_equal(masses / total > alpha, [False, True, True])
+
+
+def test_infinite_total_admits_nothing():
+    # two owners of 1e308 weigh inf together; 1e308 / inf is 0 and inf / inf
+    # is NaN, so the reference division admits no mass, and neither does the vote
+    assert np.isnan(aggregation._admission_thresholds(np.array([np.inf]), 0.0)[0])
+    spaces = [LabelSpace((0, 1)), LabelSpace((0, 1)), LabelSpace((1,))]
+    preds = [np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1, 1, 1])]
+    weights = CredibilityWeights((1e308, 1e308, 1.0))
+    for alpha in (0.0, 0.5, 1.0):
+        result = aggregate_weighted(preds, spaces, weights, alpha, size=3)
+        assert indices_of(result[0]) == () and indices_of(result[1]) == ()
+
+
+def test_mass_equal_to_its_threshold_is_admitted():
+    # one vote of two owners, a mass of exactly 1.0, is the smallest mass whose
+    # share 1/2 is above the float just below 0.5; the vote must admit it
+    alpha = float(np.nextafter(0.5, 0.0))
+    assert aggregation._admission_thresholds(np.array([2.0]), alpha)[0] == 1.0
+    spaces = [LabelSpace((0, 1)), LabelSpace((0, 1))]
+    preds = [np.array([0, 1]), np.array([1, 1])]
+    assert as_plain(aggregate(preds, spaces, alpha, 2)) == {0: (0,), 1: (0, 1)}
+    assert as_plain(aggregate(preds, spaces, 0.5, 2)) == {0: (), 1: (1,)}
 
 
 # sha256 of every admitted set and every bundle of one seeded coordinator step,

@@ -58,6 +58,15 @@ class TestLabelSpace:
                            match=re.escape(f"category id {bad!r} is not an integer")):
             LabelSpace(categories)
 
+    @pytest.mark.parametrize("bad", [2 ** 63, 2 ** 70, -2 ** 63 - 1, np.uint64(2 ** 64 - 1)])
+    def test_rejects_category_ids_outside_int64(self, bad):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"category id {int(bad)} does not fit in int64")):
+            LabelSpace((0, bad))
+
+    def test_accepts_the_largest_int64_id(self):
+        assert LabelSpace((0, 2 ** 63 - 1)).categories == (0, 2 ** 63 - 1)
+
     def test_numpy_integer_ids_become_python_ints(self):
         space = LabelSpace((np.int64(3), np.uint8(1)))
         assert space.categories == (3, 1)
