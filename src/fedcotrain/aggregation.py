@@ -24,12 +24,10 @@ same row-major order a 2-D ``np.nonzero`` would.
 
 Before the vote, each participant's votes are checked and mapped straight to
 union positions by ``vote_positions``, with -1 for a vote outside the voter's
-label space. When every vote lies between 0 and the space's largest id and
-that id is below the row's length, one per-voter table of that many union
-positions maps every vote with one ``take``; otherwise the row's distinct
-values are sorted and placed once. The table costs O(U) for a row of U
-votes, the sort O(U log U), whatever the size of the space. The wire
-coordinator runs the same check as each vote arrives.
+label space. One per-voter table of ``largest id + 1`` union positions, at
+most ``domain.CATEGORY_LIMIT`` int32 entries, maps every vote with one
+``take``, so a row of U votes costs O(U) whatever the size of the space. The
+wire coordinator runs the same check as each vote arrives.
 
 A participant's bundle is the restriction of the admitted index sets to its
 own label space, with any index claimed by two or more of those sets dropped
@@ -159,28 +157,23 @@ def vote_positions(row: np.ndarray, space: LabelSpace, targets: np.ndarray | Non
                    out: np.ndarray | None = None) -> np.ndarray:
     """Map a row of int64 votes to ``targets``, and every vote outside ``space`` to -1.
 
-    ``targets`` holds one int32 position per category of the space, in
-    ascending category order; a vote for the space's j-th smallest category
-    maps to ``targets[j]``. Without it, a vote maps to j itself. Exact for any
-    int64 votes; the int32 result goes to ``out`` when it is given. When every
-    vote lies between 0 and the space's largest id and that id is below the
-    row's length, one table of that many targets maps every vote with one
-    ``take``; otherwise the row's distinct values are sorted and placed once.
-    Either way the cost does not grow with ``len(space)`` times the row.
+    ``targets`` holds one int32 position per category of the space, in ascending
+    category order; a vote for the space's j-th smallest category maps to
+    ``targets[j]``, or to j without it. One table of ``largest id + 1`` targets
+    maps every vote with one ``take``, into ``out`` when it is given; a mask,
+    built only when the row's min or max calls for it, marks votes off the table.
     """
     own = np.sort(np.array(space.categories, dtype=np.int64))
     if targets is None:
         targets = np.arange(len(own), dtype=np.int32)
     top = own[-1]
-    if top < len(row) and row.min() >= 0 and row.max() <= top:
-        table = np.full(top + 1, -1, dtype=np.int32)
-        table[own] = targets
-        # every vote is in the table's range, so "clip" only skips a buffered check
-        return table.take(row, out=out, mode="clip")
-    values, inverse = np.unique(row, return_inverse=True)
-    pos = np.minimum(np.searchsorted(own, values), len(own) - 1)
-    mapped = np.where(own.take(pos) == values, targets.take(pos), np.int32(-1))
-    return mapped.take(inverse, out=out, mode="clip")
+    table = np.full(top + 1, -1, dtype=np.int32)
+    table[own] = targets
+    # "clip" sends a vote outside the table to one of its ends; the mask undoes that
+    mapped = table.take(row, out=out, mode="clip")
+    if len(row) and (row.min() < 0 or row.max() > top):
+        mapped[(row < 0) | (row > top)] = -1
+    return mapped
 
 
 def _validate_votes(predictions: Sequence[np.ndarray],
@@ -201,7 +194,7 @@ def _validate_votes(predictions: Sequence[np.ndarray],
         raise AggregationError(f"alpha must lie in [0, 1], got {alpha}")
     if size < 1:
         raise AggregationError("public dataset size must be >= 1")
-    union = np.array(category_union(label_spaces), dtype=np.int64)
+    union = np.array(sorted({c for space in label_spaces for c in space}), dtype=np.int64)
     owned = np.zeros((len(label_spaces), len(union)), dtype=bool)
     dense = np.empty((len(predictions), size), dtype=np.int32)
     for i, (vector, space) in enumerate(zip(predictions, label_spaces)):
@@ -221,13 +214,6 @@ def _validate_votes(predictions: Sequence[np.ndarray],
                 f"participant {i}: predicted category {bad} outside declared label space"
             )
     return union, owned, dense
-
-
-def category_union(label_spaces: Sequence[LabelSpace]) -> list[int]:
-    union: set[int] = set()
-    for space in label_spaces:
-        union.update(space)
-    return sorted(union)
 
 
 def aggregate(predictions: Sequence[np.ndarray], label_spaces: Sequence[LabelSpace],
@@ -293,9 +279,8 @@ def aggregate_weighted(predictions: Sequence[np.ndarray],
         cats, cols = np.divmod(hits, span)
         hit_cats.append(cats)
         hit_indices.append(cols + lo)
-    cats = np.concatenate(hit_cats)
-    if n_cat <= np.iinfo(np.int16).max:
-        cats = cats.astype(np.int16)  # numpy sorts 16-bit keys stably by radix
+    # positions below CATEGORY_LIMIT fit in int16, which numpy sorts stably by radix
+    cats = np.concatenate(hit_cats).astype(np.int16)
     # A stable sort by category keeps each category's indices ascending.
     order = np.argsort(cats, kind="stable")
     per_category = np.split(np.concatenate(hit_indices)[order],

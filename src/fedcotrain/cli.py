@@ -13,7 +13,8 @@ connection's address, so it depends on timing.
 The document schema is derived from the dataclasses the document builds:
 every field is a key, required when the field has no default and checked
 against the field's annotation, and each class's ``__post_init__`` keeps its
-range checks. ``canonical_config`` writes the same fields back out.
+range checks. ``canonical_config`` writes the same fields back out. No line
+length is a setting: ``netproto.line_cap`` derives it from the public set.
 
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 protocol error.
 """
@@ -40,7 +41,6 @@ from .netproto import (
     CoordinatorSettings,
     DEFAULT_CLIENT_TIMEOUT,
     DEFAULT_COORDINATOR_TIMEOUT,
-    DEFAULT_MAX_LINE,
     ProtocolError,
     entries_payload,
     file_sha256,
@@ -83,18 +83,15 @@ _SPEC_ERRORS = (ConfigError, DomainError, LearnerError, AggregationError)
 
 @dataclass(frozen=True)
 class NetprotoSpec:
-    """Wire settings for ``serve`` and ``join``."""
+    """Wire settings for ``serve`` and ``join``; the line cap is ``netproto.line_cap``."""
 
     bind: str = "127.0.0.1:0"
     timeout_s: float = DEFAULT_COORDINATOR_TIMEOUT
-    max_line_bytes: int = DEFAULT_MAX_LINE
 
     def __post_init__(self):
         _parse_bind(self.bind)
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ConfigError(f"timeout_s must be a finite number > 0, got {self.timeout_s}")
-        if self.max_line_bytes < 1:
-            raise ConfigError(f"max_line_bytes must be >= 1, got {self.max_line_bytes}")
 
 
 @dataclass(frozen=True)
@@ -465,7 +462,6 @@ def cmd_serve(args) -> int:
         weights=rc.federation.weights,
         global_conflict_removal=rc.federation.global_conflict_removal,
         timeout_s=net.timeout_s,
-        max_line=net.max_line_bytes,
     )
     host, port = _parse_bind(net.bind)
     coordinator = Coordinator(settings)
@@ -515,7 +511,6 @@ def cmd_join(args) -> int:
         public_sha256=file_sha256(unlabeled_file),
         config=config,
         timeout_s=net.timeout_s,
-        max_line=net.max_line_bytes,
     )
     record = result.to_record()
     if args.out:

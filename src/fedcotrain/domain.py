@@ -23,6 +23,10 @@ import numpy as np
 
 CategoryId = int
 
+# Every category id lies below this, as a dataset's classes do: the vote's
+# positions fit in int16, and ImageNet-21k's 21,841 classes fit too.
+CATEGORY_LIMIT = 2 ** 15
+
 PARTITION_MODES = ("iid", "noniid")
 UNLABELED_STRATEGIES = ("uniform_random", "held_out_subclasses")
 
@@ -32,10 +36,9 @@ class DomainError(ValueError):
 
 
 def category_id(value) -> CategoryId:
-    """``value`` as a category id: an integer as it is, anything else an error.
+    """``value`` as a category id: an integer in ``[0, CATEGORY_LIMIT)``, else an error.
 
     A float or a string is never truncated or parsed, and a bool is no id.
-    An id must fit in int64, the range the wire and the vote hold ids in.
     """
     if not isinstance(value, (bool, np.bool_)):
         try:
@@ -43,9 +46,9 @@ def category_id(value) -> CategoryId:
         except TypeError:
             pass
         else:
-            if -2 ** 63 <= value < 2 ** 63:
+            if 0 <= value < CATEGORY_LIMIT:
                 return value
-            raise DomainError(f"category id {value} does not fit in int64")
+            raise DomainError(f"category id {value} outside [0, {CATEGORY_LIMIT})")
     raise DomainError(f"category id {value!r} is not an integer")
 
 
@@ -61,8 +64,6 @@ class LabelSpace:
             raise DomainError("label space must be non-empty")
         if len(set(cats)) != len(cats):
             raise DomainError(f"label space has duplicate categories: {cats}")
-        if any(c < 0 for c in cats):
-            raise DomainError(f"category ids must be non-negative: {cats}")
         object.__setattr__(self, "categories", cats)
 
     def __contains__(self, category) -> bool:
@@ -163,6 +164,8 @@ class TaxonomySpec:
                      "instances_per_subclass"):
             if getattr(self, name) < 1:
                 raise DomainError(f"taxonomy spec field {name} must be >= 1")
+        if self.n_superclasses > CATEGORY_LIMIT:
+            raise DomainError(f"taxonomy spec field n_superclasses must be <= {CATEGORY_LIMIT}")
         for name in ("superclass_spread", "subclass_spread", "instance_noise"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"taxonomy spec field {name} must be > 0")

@@ -24,6 +24,9 @@ array in one step, rejecting any value outside int64. A transcript records
 each message's payload as it was sent or decoded, arrays included; only a
 file writer turns them into lists. The coordinator's transcript is in arrival
 order, and a completed round also gives each registered participant's part.
+Category ids lie in ``[0, domain.CATEGORY_LIMIT)`` and indices below U, so
+``line_cap(U)`` bounds every legal line of a round over U public rows; both
+sides refuse a longer line with a ProtocolError.
 
 The coordinator never transmits instances: the public dataset is published
 out-of-band as a file whose content hash rides in REGISTER_ACK so clients can
@@ -33,20 +36,20 @@ values from any local dataset ever appear on the wire.
 
 The coordinator serves the round from one thread: a ``selectors`` loop over
 the listener and every connection, whose timeout is the round's deadline. It
-checks each prediction vector against its sender's label space as it arrives,
-with the vote's own per-row check (``aggregation.vote_positions``, one table
-lookup per vote when every vote lies between 0 and the space's largest id and
-that id is below the vector's length), so a bad vote is reported at once
-rather than after the last one. It aggregates exactly once, after all N
-prediction vectors arrive, then sends each participant only its own bundle,
-queued until the socket takes it, so a peer that stops reading holds back no
-one else. A straggler timeout, a duplicate registration of a live
-participant id, a malformed line, a prediction outside the declared label
-space, a participant that hangs up, or one that has not read its bundle by the
-deadline aborts or rejects per the error contract. At most 2N connections may
-wait for their REGISTER line at once; one more is told so in an ERROR and
-closed. Once the round is over, every connection still open is told so, with
-the cause, in an ERROR and closed, and ``serve`` returns.
+checks each REGISTER's label space against the category bound, and each
+prediction vector against its sender's label space with the vote's own per-row
+check (``aggregation.vote_positions``, one table lookup per vote), as it
+arrives, so a bad id or vote is reported at once rather than after the last
+one. It aggregates exactly once, after all N prediction vectors arrive, then
+sends each participant only its own bundle, queued until the socket takes it,
+so a peer that stops reading holds back no one else. A straggler timeout, a
+duplicate registration of a live participant id, a malformed line, a
+prediction outside the declared label space, a participant that hangs up, or
+one that has not read its bundle by the deadline aborts or rejects per the
+error contract. At most 2N connections may wait for their REGISTER line at
+once; one more is told so in an ERROR and closed. Once the round is over,
+every connection still open is told so, with the cause, in an ERROR and
+closed, and ``serve`` returns.
 
 ``join`` runs the same participant step as the in-process round,
 ``orchestrator.Participant``: it votes before connecting and retrains once
@@ -70,7 +73,7 @@ from .aggregation import (AggregationError, CredibilityWeights, PseudolabelBundl
                           PseudolabelSet, vote_positions)
 # Unused here (coordinate and Participant call them); kept for the benchmark tracer.
 from .aggregation import aggregate, aggregate_weighted, build_bundle, remove_global_conflicts
-from .domain import LabeledDataset, LabelSpace, UnlabeledDataset
+from .domain import CATEGORY_LIMIT, DomainError, LabeledDataset, LabelSpace, UnlabeledDataset
 from .learners import TrainConfig
 from .learners import evaluate, pseudolabel, train_local, update_train
 from .orchestrator import Participant, coordinate
@@ -78,7 +81,6 @@ from .orchestrator import Participant, coordinate
 log = logging.getLogger(__name__)
 
 PROTOCOL_VERSION = 1
-DEFAULT_MAX_LINE = 64 * 2 ** 20
 DEFAULT_COORDINATOR_TIMEOUT = 60.0
 DEFAULT_CLIENT_TIMEOUT = 120.0
 
@@ -274,6 +276,24 @@ def decode_line(line: bytes) -> Message:
     return validate_message(doc)
 
 
+def line_cap(unlabeled_size: int) -> int:
+    """A bound on a legal line's length, without its newline, over ``unlabeled_size`` rows.
+
+    A REGISTER holds each category id once at most, a PREDICTIONS line one id
+    per row, and a BUNDLE one entry per id and each row's index once at most.
+    Each id or index takes its digits and a comma, as ``Message.encode``
+    writes it, and 256 bytes cover any message's names, int fields or short
+    text. At 10**5 rows this is 1.70 MiB, and the longest BUNDLE 1.55 MiB.
+    """
+    id_width = len(str(CATEGORY_LIMIT - 1)) + 1
+    index_width = len(str(unlabeled_size)) + 1
+    entry_width = len('{"category":,"indices":[]},') + id_width
+    return 256 + max(
+        CATEGORY_LIMIT * id_width,  # REGISTER
+        unlabeled_size * id_width,  # PREDICTIONS
+        CATEGORY_LIMIT * entry_width + unlabeled_size * index_width)  # BUNDLE
+
+
 class MessageStream:
     """Newline-framed message I/O over one socket, with optional transcript.
 
@@ -281,7 +301,7 @@ class MessageStream:
     ProtocolError. Received bytes are scanned for a newline once each.
     """
 
-    def __init__(self, sock: socket.socket, max_line: int = DEFAULT_MAX_LINE,
+    def __init__(self, sock: socket.socket, max_line: int,
                  transcript: list | None = None, peer: str = ""):
         self.sock = sock
         self.max_line = max_line
@@ -344,7 +364,6 @@ class CoordinatorSettings:
     weights: CredibilityWeights | None = None
     global_conflict_removal: bool = False
     timeout_s: float = DEFAULT_COORDINATOR_TIMEOUT
-    max_line: int = DEFAULT_MAX_LINE
 
 
 @dataclass
@@ -381,7 +400,7 @@ def bundle_from_payload(payload: dict, label_space: LabelSpace,
         entries = tuple(PseudolabelSet(item["category"], item["indices"])
                         for item in payload["entries"])
         bundle = PseudolabelBundle(owner=payload["participant_id"], entries=entries)
-    except AggregationError as exc:
+    except (AggregationError, DomainError) as exc:
         raise ProtocolError(f"coordinator sent a malformed bundle: {exc}") from None
     for entry in bundle.entries:
         if entry.category not in label_space:
@@ -462,7 +481,7 @@ class Coordinator:
             return  # the peer left before it was accepted
         sock.setblocking(False)
         awaiting = sum(conn.state == "REGISTER" for conn in self._connections())
-        conn = _Connection(sock, self.settings.max_line, self.transcript,
+        conn = _Connection(sock, line_cap(self.settings.unlabeled_size), self.transcript,
                            peer=f"{addr[0]}:{addr[1]}")
         self._selector.register(sock, selectors.EVENT_READ, conn)
         # room for every participant at once, and as many strays again
@@ -640,8 +659,7 @@ class JoinResult:
 def join(address: tuple[str, int], *, participant_id: int, kind: str,
          label_space: LabelSpace, train: LabeledDataset, test: LabeledDataset,
          public: UnlabeledDataset, public_sha256: str, config: TrainConfig,
-         timeout_s: float = DEFAULT_CLIENT_TIMEOUT,
-         max_line: int = DEFAULT_MAX_LINE) -> JoinResult:
+         timeout_s: float = DEFAULT_CLIENT_TIMEOUT) -> JoinResult:
     """Run one participant's side of the round against a live coordinator.
 
     Training happens entirely locally; only the prediction vector goes up and
@@ -666,7 +684,8 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
     except OSError as exc:
         raise ProtocolError(
             f"could not reach coordinator at {address[0]}:{address[1]}: {exc}") from None
-    stream = MessageStream(sock, max_line, transcript, peer=f"{address[0]}:{address[1]}")
+    stream = MessageStream(sock, line_cap(len(public)), transcript,
+                           peer=f"{address[0]}:{address[1]}")
     try:
         stream.send(Message("REGISTER", {
             "participant_id": participant_id,

@@ -47,7 +47,6 @@ class TheoryParams:
     pseudo_size: int
     base_error: float
     helper_error: float
-    confidence: float
     helper_disagreement: float
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class TheoryParams:
             raise TheoryError("base_error must lie in (0, 1/2)")
         if not 0.0 < self.helper_error < 0.5:
             raise TheoryError("helper_error must lie in (0, 1/2)")
-        if not 0.0 < self.confidence < 1.0:
-            raise TheoryError("confidence must lie in (0, 1)")
         if not 0.0 <= self.helper_disagreement <= 1.0:
             raise TheoryError("helper_disagreement must lie in [0, 1]")
 
@@ -156,8 +153,7 @@ def _clip_error(value: float) -> float:
     return min(max(value, _EPS), 0.5 - _EPS)
 
 
-def analyze_round(artifacts, helper_error: float | None = None,
-                  confidence: float = 0.05) -> RoundAnalysis:
+def analyze_round(artifacts, helper_error: float | None = None) -> RoundAnalysis:
     """Descriptive bound arithmetic over a finished round's artifacts.
 
     Per participant, measures the base error as one minus the retrained local
@@ -189,7 +185,6 @@ def analyze_round(artifacts, helper_error: float | None = None,
             pseudo_size=pseudo_size,
             base_error=_clip_error(local_errors[i]),
             helper_error=helper_error,
-            confidence=confidence,
             helper_disagreement=disagreement,
         )
         budget = (labeled_risk_budget(pseudo_size, helper_error)

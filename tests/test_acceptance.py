@@ -178,7 +178,7 @@ def test_a5_bound_calculator():
         d = float(rng.uniform(0.0, 1.0))
         params = TheoryParams(labeled_size=labeled, pseudo_size=pseudo,
                               base_error=base, helper_error=helper,
-                              confidence=0.05, helper_disagreement=d)
+                              helper_disagreement=d)
         by_hand = max(base + (pseudo / labeled) * (helper - d), 0.0)
         assert abs(retrained_error_bound(params) - by_hand) <= 1e-12
 
@@ -189,7 +189,6 @@ def test_a5_bound_calculator():
             pseudo_size=int(rng.integers(0, 5000)),
             base_error=float(rng.uniform(0.01, 0.49)),
             helper_error=float(rng.uniform(0.01, 0.49)),
-            confidence=float(rng.uniform(0.01, 0.99)),
             helper_disagreement=float(rng.uniform(0.0, 1.0)),
         )
         assert retrained_error_bound(params) >= 0.0

@@ -135,7 +135,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section, key, value, message", [
         ("netproto", "timeout_s", -1, "netproto: timeout_s must be"),
         ("netproto", "timeout_s", 0, "netproto: timeout_s must be"),
-        ("netproto", "max_line_bytes", 0, "netproto: max_line_bytes must be >= 1"),
+        ("taxonomy", "n_superclasses", 2 ** 15 + 1,
+         "taxonomy: taxonomy spec field n_superclasses must be <= 32768"),
         ("netproto", "bind", "localhost", "netproto: invalid address 'localhost'"),
         ("taxonomy", "feature_dim", 2.5, "taxonomy.feature_dim: expected an integer"),
         ("partition", "superclasses_per_participant", [2], "expected a list of 2 integers"),

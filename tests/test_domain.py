@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcotrain.domain import (
+    CATEGORY_LIMIT,
     DomainError,
     LabeledDataset,
     LabelSpace,
@@ -60,12 +61,19 @@ class TestLabelSpace:
 
     @pytest.mark.parametrize("bad", [2 ** 63, 2 ** 70, -2 ** 63 - 1, np.uint64(2 ** 64 - 1)])
     def test_rejects_category_ids_outside_int64(self, bad):
-        with pytest.raises(DomainError,
-                           match=re.escape(f"category id {int(bad)} does not fit in int64")):
+        with pytest.raises(DomainError, match=re.escape(
+                f"category id {int(bad)} outside [0, {CATEGORY_LIMIT})")):
             LabelSpace((0, bad))
 
-    def test_accepts_the_largest_int64_id(self):
-        assert LabelSpace((0, 2 ** 63 - 1)).categories == (0, 2 ** 63 - 1)
+    @pytest.mark.parametrize("bad", [CATEGORY_LIMIT, -1])
+    def test_rejects_category_ids_outside_the_bound(self, bad):
+        with pytest.raises(DomainError, match=re.escape(
+                f"category id {bad} outside [0, {CATEGORY_LIMIT})")):
+            LabelSpace((0, bad))
+
+    def test_accepts_the_largest_category_id(self):
+        assert CATEGORY_LIMIT == 2 ** 15
+        assert LabelSpace((0, CATEGORY_LIMIT - 1)).categories == (0, CATEGORY_LIMIT - 1)
 
     def test_numpy_integer_ids_become_python_ints(self):
         space = LabelSpace((np.int64(3), np.uint8(1)))
@@ -126,6 +134,11 @@ class TestTaxonomy:
             small_spec(n_superclasses=0)
         with pytest.raises(DomainError):
             small_spec(instance_noise=0.0)
+
+    def test_superclasses_stop_at_the_category_limit(self):
+        assert small_spec(n_superclasses=CATEGORY_LIMIT).n_superclasses == CATEGORY_LIMIT
+        with pytest.raises(DomainError, match=f"n_superclasses must be <= {CATEGORY_LIMIT}"):
+            small_spec(n_superclasses=CATEGORY_LIMIT + 1)
 
 
 class TestPartition:

@@ -422,7 +422,7 @@ def reference_knn_scores(train_X, train_y_idx, n_classes, k, X):
 
 
 @given(st.integers(1, 40), st.integers(1, 30), st.integers(1, 3), st.integers(1, 45),
-       st.sampled_from([1, 4, 10**9 + 7]), st.integers(0, 2**32 - 1))
+       st.sampled_from([1, 4, 8191]), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_property_knn_scores_match_stable_sort_reference(n_train, n_query, d, k,
                                                          stride, seed):

@@ -18,14 +18,17 @@ import fedcotrain as fc
 import fedcotrain.netproto as netproto
 import fedcotrain.orchestrator as orch
 from fedcotrain.aggregation import aggregate, build_bundle
+from fedcotrain.domain import CATEGORY_LIMIT, LabelSpace
 from fedcotrain.netproto import (
     MESSAGE_SCHEMAS,
     Coordinator,
     CoordinatorSettings,
     Message,
     ProtocolError,
+    bundle_from_payload,
     decode_line,
     join,
+    line_cap,
     validate_message,
 )
 from fedcotrain.orchestrator import (
@@ -393,6 +396,29 @@ class TestLineCap:
             with pytest.raises(ProtocolError, match="closed mid-message"):
                 stream.recv()
 
+    def test_largest_legal_lines_fit_under_the_round_cap(self):
+        size, widest = 10 ** 5, 2 ** 63 - 1
+        every_id = np.arange(CATEGORY_LIMIT, dtype=np.int64)
+        every_index = np.arange(size, dtype=np.int64)
+        register = Message("REGISTER", {"participant_id": widest, "label_space": every_id,
+                                        "train_size": widest})
+        predictions = Message("PREDICTIONS", {"participant_id": widest, "labels": np.full(
+            size, CATEGORY_LIMIT - 1, dtype=np.int64)})
+        # one entry per category id, and every public index in the widest one
+        entries = [{"category": c, "indices": every_index[:0]} for c in range(CATEGORY_LIMIT)]
+        entries[-1]["indices"] = every_index
+        bundle = Message("BUNDLE", {"participant_id": widest, "entries": entries})
+        assert len(bundle_from_payload(bundle.payload, LabelSpace(tuple(range(CATEGORY_LIMIT))),
+                                       size)) == size
+        lengths = [len(m.encode()) - 1 for m in (register, predictions, bundle)]
+        assert max(lengths) == lengths[2] <= line_cap(size) < 2 * 2 ** 20
+        # each bundle of test_peer_that_stops_reading_holds_back_no_one: 6.9 MB
+        size = 10 ** 6
+        all_admitted = Message("BUNDLE", {"participant_id": 0, "entries": [
+            {"category": 0, "indices": np.arange(size, dtype=np.int64)},
+            {"category": 1, "indices": np.arange(0, dtype=np.int64)}]})
+        assert 6.8e6 < len(all_admitted.encode()) - 1 <= line_cap(size)
+
 
 class TestRound:
     def test_single_client_bundle_matches_own_aggregate(self):
@@ -720,6 +746,24 @@ class TestErrors:
         assert box["result"].status == "completed"
         assert sorted(results) == [0, 1]
 
+    def test_line_over_the_cap_is_refused_and_the_round_goes_on(self):
+        config = small_config(n=1)
+        data = build_round_data(config)
+        cap = line_cap(len(data.unlabeled))
+        coordinator, address, thread, box = start_coordinator(settings_for(config, data))
+        # a line as long as the cap is read and parsed; one byte more is refused
+        at_cap, over = RawClient(address), RawClient(address)
+        at_cap.send_line(b"x" * cap + b"\n")
+        over.send_line(b"x" * (cap + 1))
+        assert "could not parse message line" in at_cap.recv()["payload"]["text"]
+        assert over.recv() == {"v": 1, "kind": "ERROR", "payload": {
+            "text": f"message line exceeds {cap} bytes"}}
+        for raw in (at_cap, over):
+            raw.close()
+        join_participant(config, data, 0, address)
+        thread.join(timeout=30)
+        assert box["result"].status == "completed"
+
     def test_idle_connection_does_not_hold_back_a_completed_round(self):
         config = small_config(n=1)
         data = build_round_data(config)
@@ -779,8 +823,11 @@ class TestErrors:
         assert sorted(results) == [0, 1, 2]
 
 
-def fake_coordinator(public_size, sha, entries):
-    """Serve one join: acknowledge it, read its votes, answer with ``entries``."""
+def fake_coordinator(public_size, sha, entries, reply=None):
+    """Serve one join: acknowledge it, read its votes, answer with ``entries``.
+
+    ``reply``, when given, is sent instead of the bundle's line.
+    """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10.0)
 
@@ -793,8 +840,8 @@ def fake_coordinator(public_size, sha, entries):
                 "participant_id": pid, "n_participants": 1,
                 "unlabeled_size": public_size, "dataset_sha256": sha}).encode())
             lines.readline()
-            conn.sendall(Message("BUNDLE", {"participant_id": pid,
-                                            "entries": entries}).encode())
+            conn.sendall(reply or Message("BUNDLE", {"participant_id": pid,
+                                                     "entries": entries}).encode())
             lines.readline()  # until the client closes
 
     thread = threading.Thread(target=serve, daemon=True)
@@ -830,6 +877,31 @@ def test_join_reports_a_bad_bundle_before_retraining(monkeypatch, fault):
         assert not thread.is_alive()
     finally:
         listener.close()
+
+
+def test_join_refuses_a_line_over_the_cap():
+    config = small_config(n=1)
+    data = build_round_data(config)
+    size = len(data.unlabeled)
+    cap = line_cap(size)
+    listener, thread = fake_coordinator(size, array_sha(data.unlabeled), [],
+                                        reply=b"x" * (cap + 1))
+    try:
+        with pytest.raises(ProtocolError, match=f"message line exceeds {cap} bytes"):
+            join_participant(config, data, 0, listener.getsockname()[:2])
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+
+
+@pytest.mark.parametrize("category", [CATEGORY_LIMIT, -1])
+def test_bundle_category_outside_the_bound_is_a_protocol_error(category):
+    payload = {"participant_id": 0, "entries": [{"category": category, "indices": [0]}]}
+    with pytest.raises(ProtocolError, match=re.escape(
+            f"coordinator sent a malformed bundle: category id {category} outside "
+            f"[0, {CATEGORY_LIMIT})")):
+        bundle_from_payload(payload, LabelSpace((0, 1)), 10)
 
 
 def register_raw(address, pid, label_space):
@@ -975,23 +1047,28 @@ class TestPeerFaults:
         thread.join(timeout=10)
         assert box["result"].status == "aborted: connection closed mid-message"
 
-    def test_large_label_space_does_not_hold_the_loop_past_its_deadline(self):
-        # participant 0 declares 2e5 categories and votes on 1e5 instances;
-        # participant 1 never comes, so the round times out at 2 s, and the
-        # check of 0's vote may not keep the loop from that deadline
-        size, k = 100_000, 200_000
+    def test_register_outside_the_category_bound_is_refused_at_once(self):
+        # a stray declares every category id and one more; it is told the bound
+        # at once, and participant 0's round goes on without it
+        size = 100_000
         coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
-            n_participants=2, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
-            timeout_s=2.0))
+            n_participants=1, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
+            timeout_s=10.0))
         started = time.monotonic()
-        big = register_raw(address, 0, list(range(0, 2 * k, 2)))
-        send_labels(big, 0, list(range(2 * size - 2, -1, -2)))
-        assert big.recv() == {"v": 1, "kind": "ERROR", "payload": {
-            "text": "round aborted: timed out waiting for stragglers"}}
-        assert time.monotonic() - started < 3.0
-        big.close()
+        stray = RawClient(address)
+        stray.send({"v": 1, "kind": "REGISTER", "payload": {
+            "participant_id": 0, "label_space": list(range(CATEGORY_LIMIT + 1)),
+            "train_size": 5}})
+        assert stray.recv() == {"v": 1, "kind": "ERROR", "payload": {
+            "text": f"category id {CATEGORY_LIMIT} outside [0, {CATEGORY_LIMIT})"}}
+        assert time.monotonic() - started < 1
+        stray.close()
+        voter = register_raw(address, 0, [0, CATEGORY_LIMIT - 1])
+        send_labels(voter, 0, [CATEGORY_LIMIT - 1] * size)
+        assert voter.recv()["kind"] == "BUNDLE"
+        voter.close()
         thread.join(timeout=10)
-        assert box["result"].status == "aborted: timed out waiting for stragglers"
+        assert box["result"].status == "completed"
 
     def test_peer_that_stops_reading_holds_back_no_one(self):
         # each bundle admits all 1e6 indices, about 6.9 MB: more than the

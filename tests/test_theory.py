@@ -20,7 +20,7 @@ from fedcotrain.theory import (
 
 def params(**kw):
     base = dict(labeled_size=100, pseudo_size=200, base_error=0.2,
-                helper_error=0.2, confidence=0.05, helper_disagreement=0.1)
+                helper_error=0.2, helper_disagreement=0.1)
     base.update(kw)
     return TheoryParams(**base)
 
@@ -96,8 +96,6 @@ class TestRetrainedErrorBound:
             params(helper_error=0.0)
         with pytest.raises(TheoryError):
             params(labeled_size=0)
-        with pytest.raises(TheoryError):
-            params(confidence=1.5)
         # zero pseudolabel mass is legal: the bound degenerates to base_error
         assert retrained_error_bound(params(pseudo_size=0)) == params().base_error
 
