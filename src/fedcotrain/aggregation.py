@@ -31,19 +31,20 @@ wire coordinator runs the same check as each vote arrives.
 
 A participant's bundle is the restriction of the admitted index sets to its
 own label space, with any index claimed by two or more of those sets dropped
-from all of them so the bundle never carries contradictory labels.
-``_repeated`` marks the shared positions of the sets' concatenated indices.
-Public-set indices are dense, so it usually counts every index with one
-``np.bincount`` and takes each count back; when the largest index is at least
-``COUNT_TABLE_RATIO`` times the index count (sets from the wire may name any
-int64), it sorts the indices instead, finds equal neighbours and marks
-them with ``np.isin``. A bundle checks that its entries are disjoint by
-marking them in a one-byte table over the same range (the sort when the
-range is wider), and calls ``_repeated`` only to name the shared indices in
-its error. An index set holds its indices as a read-only, one-dimensional
-int64 array, from the vote to the wire: the count, the sort, the conflict
-masks and the bundle's rows work on it directly, and only the JSON boundary
-turns it into a list.
+from all of them so the bundle never carries contradictory labels. Every
+index names a row of the public dataset, so it lies below its size U: the
+vote admits only indices below ``size``, and the wire client checks a
+bundle's indices against U before it builds the bundle. A table over every
+index therefore stays within the public set; a direct call with an index far
+past any public set fails when numpy allocates that table. ``_repeated``
+marks the shared positions of the sets' concatenated indices by counting
+every index with one ``np.bincount`` and taking each count back. A bundle
+checks that its entries are disjoint by marking them in a one-byte
+seen-table over the same range, and calls ``_repeated`` only to name the
+shared indices in its error. An index set holds its indices as a read-only,
+one-dimensional int64 array, from the vote to the wire: the count, the
+conflict masks and the bundle's rows work on it directly, and only the JSON
+boundary turns it into a list.
 """
 
 from __future__ import annotations
@@ -109,10 +110,8 @@ class PseudolabelBundle:
         cats = [e.category for e in self.entries]
         if any(b <= a for a, b in zip(cats, cats[1:])):
             raise AggregationError("bundle entries must be sorted by category")
-        if _disjoint(self.entries):
-            return
-        flat, shared = _repeated(self.entries)
-        if shared.any():
+        if not _disjoint(self.entries):
+            flat, shared = _repeated(self.entries)
             raise AggregationError(
                 f"bundle entries overlap on indices {np.unique(flat[shared])[:5].tolist()}"
             )
@@ -322,50 +321,29 @@ def _admission_thresholds(totals: np.ndarray, alpha: float) -> np.ndarray:
     return thresholds
 
 
-# Index range, as a multiple of the index count, up to which _repeated counts
-# every index in a table instead of sorting them. The table then holds at most
-# this many int64 counts per index, whatever range an index set from the wire
-# spans.
-COUNT_TABLE_RATIO = 8
-
-
-def _largest_index(entries: Sequence[PseudolabelSet]) -> int:
-    # every set is ascending, so the largest index is some set's last
-    return max((int(e.indices[-1]) for e in entries if len(e)), default=-1)
-
-
 def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray]:
     """Find the indices that two or more of the sets share.
 
     Returns the sets' concatenated indices, in entry order, and the mask of
-    the positions whose index another set holds too. When the largest index is
-    below ``COUNT_TABLE_RATIO`` times the index count, one ``np.bincount`` of
-    every index gives the mask in time linear in the input; otherwise one
-    value sort finds the shared values and ``np.isin`` marks them.
+    the positions whose index another set holds too: one ``np.bincount`` of
+    every index, with each index's count taken back.
     """
     flat = np.concatenate([e.indices for e in entries]) if entries else np.empty(0, np.int64)
-    if _largest_index(entries) < COUNT_TABLE_RATIO * len(flat):
-        return flat, np.bincount(flat).take(flat) > 1
-    ordered = np.sort(flat)
-    return flat, np.isin(flat, ordered[1:][ordered[1:] == ordered[:-1]])
+    return flat, np.bincount(flat).take(flat) > 1
 
 
 def _disjoint(entries: Sequence[PseudolabelSet]) -> bool:
-    """Whether a one-byte seen-table shows that no two of the sets share an index.
+    """Whether no two of the sets share an index, by a one-byte seen-table.
 
     Each set's indices are distinct, so the sets are disjoint exactly when
-    they mark as many table slots as they hold indices. False when they
-    share one, and when the largest index is at least ``COUNT_TABLE_RATIO``
-    times the index count, for which no table is built.
+    they mark as many table slots as they hold indices.
     """
-    count = sum(len(e) for e in entries)
-    top = _largest_index(entries)
-    if top >= COUNT_TABLE_RATIO * count:
-        return False
+    # every set is ascending, so the largest index is some set's last
+    top = max((int(e.indices[-1]) for e in entries if len(e)), default=-1)
     seen = np.zeros(top + 1, dtype=np.uint8)
     for entry in entries:
         seen[entry.indices] = 1
-    return np.count_nonzero(seen) == count
+    return np.count_nonzero(seen) == sum(len(e) for e in entries)
 
 
 def _drop_conflicts(entries: Sequence[PseudolabelSet]) -> list[PseudolabelSet]:

@@ -83,7 +83,12 @@ _SPEC_ERRORS = (ConfigError, DomainError, LearnerError, AggregationError)
 
 @dataclass(frozen=True)
 class NetprotoSpec:
-    """Wire settings for ``serve`` and ``join``; the line cap is ``netproto.line_cap``."""
+    """Wire settings for ``serve`` and ``join``; the line cap is ``netproto.line_cap``.
+
+    ``timeout_s`` is the coordinator's round deadline, which ``serve --timeout``
+    overrides. ``join`` never reads it: a participant waits ``join --timeout``,
+    ``DEFAULT_CLIENT_TIMEOUT`` (120 s) when the flag is not given.
+    """
 
     bind: str = "127.0.0.1:0"
     timeout_s: float = DEFAULT_COORDINATOR_TIMEOUT

@@ -16,7 +16,7 @@ byte-identical arrays.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +54,30 @@ def category_id(value) -> CategoryId:
 
 @dataclass(frozen=True)
 class LabelSpace:
-    """Ordered set of category ids a single task can emit."""
+    """Ordered set of category ids a single task can emit.
+
+    Membership is one lookup in a frozenset of the categories, built once and
+    left out of equality and repr.
+    """
 
     categories: tuple[int, ...]
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cats = tuple(category_id(c) for c in self.categories)
         if not cats:
             raise DomainError("label space must be non-empty")
-        if len(set(cats)) != len(cats):
-            raise DomainError(f"label space has duplicate categories: {cats}")
+        members = frozenset(cats)
+        if len(members) != len(cats):
+            # name the repeated ids, not the whole space a peer may have sent
+            ids, counts = np.unique(cats, return_counts=True)
+            raise DomainError(f"label space has duplicate categories "
+                              f"{ids[counts > 1][:5].tolist()}")
         object.__setattr__(self, "categories", cats)
+        object.__setattr__(self, "_members", members)
 
     def __contains__(self, category) -> bool:
-        return category in self.categories
+        return category in self._members
 
     def __iter__(self):
         return iter(self.categories)
@@ -76,7 +86,7 @@ class LabelSpace:
         return len(self.categories)
 
     def overlaps(self, other: "LabelSpace") -> bool:
-        return bool(set(self.categories) & set(other.categories))
+        return not self._members.isdisjoint(other._members)
 
 
 def _as_feature_matrix(features, what: str) -> np.ndarray:

@@ -392,26 +392,27 @@ def bundle_from_payload(payload: dict, label_space: LabelSpace,
                         public_size: int) -> PseudolabelBundle:
     """The bundle a BUNDLE payload carries, checked against its receiver.
 
-    Raises ProtocolError naming the fault when the entries do not form a
-    bundle, name a category outside ``label_space``, or index past the
-    public dataset.
+    Raises ProtocolError naming the fault when an entry is malformed, names a
+    category outside ``label_space`` or indexes past the public dataset, or
+    when the entries do not form a bundle. Every index is checked against the
+    public dataset before the bundle's disjointness check sizes a table by it.
     """
     try:
         entries = tuple(PseudolabelSet(item["category"], item["indices"])
                         for item in payload["entries"])
-        bundle = PseudolabelBundle(owner=payload["participant_id"], entries=entries)
+        for entry in entries:
+            if entry.category not in label_space:
+                raise ProtocolError(
+                    f"coordinator sent a bundle for category {entry.category}, outside "
+                    f"the label space {list(label_space.categories)}")
+            # each set is ascending, so its last index is its largest
+            if len(entry) and entry.indices[-1] >= public_size:
+                raise ProtocolError(
+                    f"coordinator sent a bundle with index {entry.indices[-1]} for category "
+                    f"{entry.category}, outside the public dataset of {public_size} rows")
+        return PseudolabelBundle(owner=payload["participant_id"], entries=entries)
     except (AggregationError, DomainError) as exc:
         raise ProtocolError(f"coordinator sent a malformed bundle: {exc}") from None
-    for entry in bundle.entries:
-        if entry.category not in label_space:
-            raise ProtocolError(
-                f"coordinator sent a bundle for category {entry.category}, outside "
-                f"the label space {list(label_space.categories)}")
-        if len(entry) and entry.indices[-1] >= public_size:
-            raise ProtocolError(
-                f"coordinator sent a bundle with index {entry.indices[-1]} for category "
-                f"{entry.category}, outside the public dataset of {public_size} rows")
-    return bundle
 
 
 class _Connection(MessageStream):

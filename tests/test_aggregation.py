@@ -330,13 +330,16 @@ def index_families(values):
                     min_size=1, max_size=8)
 
 
-# Index-set families, under category ids 4096 apart: indices below 8, which
-# conflict removal counts in a table; indices at the top of int64, which it
-# sorts; and a mix of a small range (many conflicts) and the whole int64 range.
+# Index-set families over a public set of 10^5 rows, under category ids 4096
+# apart: indices below 8 (many conflicts); indices at the top of the public
+# set, far from zero; a mix of a small range and the whole set; and a few
+# indices spread over the whole set (sparse, rarely in conflict).
+PUBLIC_ROWS = 10 ** 5
 conflict_families = st.one_of(
     index_families(st.integers(0, 7)),
-    index_families(st.integers(2 ** 63 - 31, 2 ** 63 - 1)),
-    index_families(st.one_of(st.integers(0, 30), st.integers(0, 2 ** 63 - 1))))
+    index_families(st.integers(PUBLIC_ROWS - 31, PUBLIC_ROWS - 1)),
+    index_families(st.one_of(st.integers(0, 30), st.integers(0, PUBLIC_ROWS - 1))),
+    index_families(st.integers(0, PUBLIC_ROWS - 1)))
 
 
 @given(conflict_families, st.data())

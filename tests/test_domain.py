@@ -42,6 +42,21 @@ class TestLabelSpace:
         with pytest.raises(DomainError):
             LabelSpace((-1, 2))
 
+    def test_duplicate_error_names_the_first_five_repeated_ids(self):
+        # a peer's REGISTER may repeat one id a million times: the error stays short
+        with pytest.raises(DomainError) as raised:
+            LabelSpace((9, 7, 7, 5, 3, 0, 2, 5, 3, 2, 0, 1, 9))
+        assert str(raised.value) == "label space has duplicate categories [0, 2, 3, 5, 7]"
+        with pytest.raises(DomainError) as raised:
+            LabelSpace((0,) * 100_000)
+        assert str(raised.value) == "label space has duplicate categories [0]"
+
+    def test_equality_hash_and_repr_see_only_the_categories(self):
+        space = LabelSpace((0, 2, 5))
+        assert space == LabelSpace((0, 2, 5)) != LabelSpace((5, 2, 0))
+        assert hash(space) == hash(LabelSpace((0, 2, 5)))
+        assert repr(space) == "LabelSpace(categories=(0, 2, 5))"
+
     def test_membership_and_overlap(self):
         a = LabelSpace((0, 2, 5))
         b = LabelSpace((5, 7))

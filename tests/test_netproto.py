@@ -408,8 +408,11 @@ class TestLineCap:
         entries = [{"category": c, "indices": every_index[:0]} for c in range(CATEGORY_LIMIT)]
         entries[-1]["indices"] = every_index
         bundle = Message("BUNDLE", {"participant_id": widest, "entries": entries})
+        # each entry's label-space check is one lookup, not a scan of the space
+        started = time.perf_counter()
         assert len(bundle_from_payload(bundle.payload, LabelSpace(tuple(range(CATEGORY_LIMIT))),
                                        size)) == size
+        assert time.perf_counter() - started < 2.0
         lengths = [len(m.encode()) - 1 for m in (register, predictions, bundle)]
         assert max(lengths) == lengths[2] <= line_cap(size) < 2 * 2 ** 20
         # each bundle of test_peer_that_stops_reading_holds_back_no_one: 6.9 MB
@@ -904,6 +907,16 @@ def test_bundle_category_outside_the_bound_is_a_protocol_error(category):
         bundle_from_payload(payload, LabelSpace((0, 1)), 10)
 
 
+def test_bundle_index_far_past_the_public_set_is_refused_before_any_table():
+    # a seen-table over [0, 2**62] cannot be allocated: the index is checked
+    # against the public set before the bundle's disjointness check sizes one
+    payload = {"participant_id": 0, "entries": [{"category": 1, "indices": [2 ** 62]}]}
+    with pytest.raises(ProtocolError, match=re.escape(
+            f"coordinator sent a bundle with index {2 ** 62} for category 1, outside "
+            f"the public dataset of 10 rows")):
+        bundle_from_payload(payload, LabelSpace((0, 1)), 10)
+
+
 def register_raw(address, pid, label_space):
     raw = RawClient(address)
     raw.send({"v": 1, "kind": "REGISTER",
@@ -1065,6 +1078,29 @@ class TestPeerFaults:
         stray.close()
         voter = register_raw(address, 0, [0, CATEGORY_LIMIT - 1])
         send_labels(voter, 0, [CATEGORY_LIMIT - 1] * size)
+        assert voter.recv()["kind"] == "BUNDLE"
+        voter.close()
+        thread.join(timeout=10)
+        assert box["result"].status == "completed"
+
+    def test_register_repeating_one_id_is_told_that_id(self):
+        # a REGISTER of zeros just under the line cap; an error that echoed the
+        # whole space, three bytes an id against the line's two, would exceed it
+        size = 60
+        coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
+            n_participants=1, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
+            timeout_s=10.0))
+        register = Message("REGISTER", {"participant_id": 0, "train_size": 5,
+                                        "label_space": np.zeros(500_000, dtype=np.int64)})
+        line = register.encode()
+        assert line_cap(size) < 1.5 * (len(line) - 1) <= 1.5 * line_cap(size)
+        stray = RawClient(address)
+        stray.send_line(line)
+        assert stray.recv() == {"v": 1, "kind": "ERROR", "payload": {
+            "text": "label space has duplicate categories [0]"}}
+        stray.close()
+        voter = register_raw(address, 0, [0, 1])
+        send_labels(voter, 0, [1] * size)
         assert voter.recv()["kind"] == "BUNDLE"
         voter.close()
         thread.join(timeout=10)
