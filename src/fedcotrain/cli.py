@@ -16,6 +16,9 @@ against the field's annotation, and each class's ``__post_init__`` keeps its
 range checks. ``canonical_config`` writes the same fields back out. No line
 length is a setting: ``netproto.line_cap`` derives it from the public set.
 
+``serve`` and ``join`` read their config, master seed applied, from the manifest
+they serve; ``serve --bind`` and ``--timeout`` override its ``netproto`` section.
+
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 protocol error.
 """
 
@@ -83,11 +86,11 @@ _SPEC_ERRORS = (ConfigError, DomainError, LearnerError, AggregationError)
 
 @dataclass(frozen=True)
 class NetprotoSpec:
-    """Wire settings for ``serve`` and ``join``; the line cap is ``netproto.line_cap``.
+    """Wire settings ``serve`` and ``join`` read from the config in their manifest.
 
-    ``timeout_s`` is the coordinator's round deadline, which ``serve --timeout``
-    overrides. ``join`` never reads it: a participant waits ``join --timeout``,
-    ``DEFAULT_CLIENT_TIMEOUT`` (120 s) when the flag is not given.
+    ``bind`` and ``timeout_s``, the coordinator's address and round deadline, yield
+    to ``serve --bind`` and ``--timeout``. ``join`` reads neither: it waits ``join
+    --timeout``, ``DEFAULT_CLIENT_TIMEOUT`` (120 s) when the flag is not given.
     """
 
     bind: str = "127.0.0.1:0"
@@ -297,7 +300,6 @@ def cmd_generate_data(args) -> int:
         save_csv(data.test_sets[i], test_file)
         participants.append({
             "id": i,
-            "learner": fed.participants[i].learner,
             "label_space": [int(c) for c in shard.label_space],
             "owned_subclasses": {str(s): list(subs)
                                  for s, subs in sorted(shard.owned_subclasses.items())},
@@ -308,9 +310,6 @@ def cmd_generate_data(args) -> int:
         })
 
     manifest = {
-        "master_seed": fed.master_seed,
-        "mode": fed.partition.mode,
-        "n_participants": len(data.shards),
         "seeds": {name: derive_seed(fed.master_seed, name)
                   for name in ("taxonomy", "test", "partition", "unlabeled")},
         "pool": {"file": pool_file.name, "sha256": file_sha256(pool_file),
@@ -327,9 +326,9 @@ def cmd_generate_data(args) -> int:
 
 
 def _read_manifest(data_dir: Path):
-    """Read ``manifest.json`` and return a lookup ``item(k1, k2, ...)`` into it.
+    """Read ``manifest.json``: the round's config and a lookup ``item(k1, k2, ...)``.
 
-    A missing item is a config error that names the file and the key path.
+    A missing item or an invalid config is a config error naming the file and key path.
     """
     path = data_dir / "manifest.json"
     if not path.exists():
@@ -346,7 +345,7 @@ def _read_manifest(data_dir: Path):
                 raise ConfigError(f"{path}: missing key {where!r}") from None
         return value
 
-    return item
+    return _parse_spec(RunConfig, item("config"), f"{path}: config"), item
 
 
 def _dump_artifacts(artifacts, out: Path) -> None:
@@ -451,11 +450,10 @@ def _parse_bind(text: str) -> tuple[str, int]:
 
 
 def cmd_serve(args) -> int:
-    rc = load_run_config(args.config, args.seed)
+    data_dir = Path(args.data)
+    rc, manifest = _read_manifest(data_dir)
     net = _with_flag(_with_flag(rc.netproto, "--bind", bind=args.bind),
                      "--timeout", timeout_s=args.timeout)
-    data_dir = Path(args.data)
-    manifest = _read_manifest(data_dir)
     unlabeled_file = data_dir / manifest("unlabeled", "file")
     if not unlabeled_file.exists():
         raise ConfigError(f"unlabeled dataset {unlabeled_file} is missing")
@@ -489,32 +487,27 @@ def cmd_serve(args) -> int:
 
 
 def cmd_join(args) -> int:
-    rc = load_run_config(args.config, args.seed)
-    net = _with_flag(rc.netproto, "--timeout", timeout_s=DEFAULT_CLIENT_TIMEOUT
-                     if args.timeout is None else args.timeout)
     data_dir = Path(args.data)
-    manifest = _read_manifest(data_dir)
+    rc, manifest = _read_manifest(data_dir)
+    net = _with_flag(rc.netproto, "--timeout", timeout_s=args.timeout)
     i = args.participant
-    participants = manifest("participants")
-    if not isinstance(participants, list) or not 0 <= i < len(participants):
+    if not 0 <= i < len(rc.federation.participants):
         raise ConfigError(f"participant {i} not present in manifest")
     space = LabelSpace(tuple(manifest("participants", i, "label_space")))
     train = load_csv(data_dir / manifest("participants", i, "train", "file"), label_space=space)
     test = load_csv(data_dir / manifest("participants", i, "test", "file"), label_space=space)
     unlabeled_file = data_dir / manifest("unlabeled", "file")
     public = load_csv(unlabeled_file)
-    spec = rc.federation.participants[i]
-    config = participant_train_config(rc.federation, i)
     result = netproto_join(
         _parse_bind(args.addr),
         participant_id=i,
-        kind=spec.learner,
+        kind=rc.federation.participants[i].learner,
         label_space=space,
         train=train,
         test=test,
         public=public,
         public_sha256=file_sha256(unlabeled_file),
-        config=config,
+        config=participant_train_config(rc.federation, i),
         timeout_s=net.timeout_s,
     )
     record = result.to_record()
@@ -535,13 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        if needs_out:
-            p.add_argument("--out", default=None,
-                           help="output directory (default: config output_dir, "
-                                "then $FEDCOTRAIN_OUT, then ./runs)")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: config output_dir, "
+                            "then $FEDCOTRAIN_OUT, then ./runs)")
+
+    def reporting(p):
+        common(p)
         p.add_argument("--format", choices=("table", "records"), default="table")
 
     p = sub.add_parser("generate-data", help="write pool, shards, test sets, unlabeled set")
@@ -549,29 +544,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate_data)
 
     p = sub.add_parser("run", help="run one in-process federation round")
-    common(p)
+    reporting(p)
     p.add_argument("--dump-artifacts", action="store_true",
                    help="also write votes, admitted sets, and bundles")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep-alpha", help="rerun the round across vote thresholds")
-    common(p)
+    reporting(p)
     p.add_argument("--alphas", default=None, help="comma-separated thresholds")
     p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("sweep-size", help="rerun the round across public dataset sizes")
-    common(p)
+    reporting(p)
     p.add_argument("--sizes", default=None, help="comma-separated sizes")
     p.set_defaults(func=cmd_sweep_size)
 
     p = sub.add_parser("analyze", help="run a round and append the bound analysis")
-    common(p)
+    reporting(p)
     p.add_argument("--helper-error", type=float, default=None,
                    help="assumed pseudolabeler error (default: mean measured local error)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("serve", help="run the coordinator for one distributed round")
-    common(p, needs_out=False)
     p.add_argument("--data", required=True, help="directory from generate-data")
     p.add_argument("--bind", default=None, help="host:port to listen on")
     p.add_argument("--timeout", type=float, default=None, help="straggler timeout seconds")
@@ -579,11 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("join", help="participate in a distributed round")
-    common(p, needs_out=False)
     p.add_argument("--data", required=True, help="directory from generate-data")
     p.add_argument("--participant", type=int, required=True)
     p.add_argument("--addr", required=True, help="coordinator host:port")
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=float, default=DEFAULT_CLIENT_TIMEOUT)
     p.add_argument("--out", default=None, help="write the report fragment here")
     p.set_defaults(func=cmd_join)
 

@@ -64,6 +64,9 @@ class LabelSpace:
     _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.categories) > CATEGORY_LIMIT:  # refused before the per-id pass
+            raise DomainError(f"label space has {len(self.categories)} categories, "
+                              f"more than {CATEGORY_LIMIT}")
         cats = tuple(category_id(c) for c in self.categories)
         if not cats:
             raise DomainError("label space must be non-empty")

@@ -240,15 +240,13 @@ def wire_round(tmp_path_factory):
     probe.close()
 
     serve_proc = subprocess.Popen(
-        [sys.executable, "-m", "fedcotrain.cli", "serve",
-         "--config", str(config_path), "--data", str(data_dir),
+        [sys.executable, "-m", "fedcotrain.cli", "serve", "--data", str(data_dir),
          "--bind", f"127.0.0.1:{port}", "--timeout", "45",
          "--out", str(tmp / "served")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     time.sleep(1.0)
     clients = [subprocess.Popen(
-        [sys.executable, "-m", "fedcotrain.cli", "join",
-         "--config", str(config_path), "--data", str(data_dir),
+        [sys.executable, "-m", "fedcotrain.cli", "join", "--data", str(data_dir),
          "--participant", str(i), "--addr", f"127.0.0.1:{port}",
          "--out", str(tmp / "joined")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

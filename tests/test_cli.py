@@ -15,6 +15,7 @@ from fedcotrain.cli import (
     EXIT_PROTOCOL,
     EXIT_RUNTIME,
     ConfigError,
+    build_parser,
     canonical_config,
     load_run_config,
     main,
@@ -53,11 +54,35 @@ def config_path(tmp_path):
     return path
 
 
+WIRE_ARGS = {"serve": ["--data", "d"],
+             "join": ["--data", "d", "--participant", "0", "--addr", "127.0.0.1:9"]}
+
+
 def free_port():
     sock = socket.create_server(("127.0.0.1", 0))
     port = sock.getsockname()[1]
     sock.close()
     return port
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, refused", [
+        *[([command, *args, *flag], True) for command, args in WIRE_ARGS.items()
+          for flag in (["--config", "c.json"], ["--seed", "7"], ["--format", "records"])],
+        (["generate-data", "--config", "c.json", "--format", "records"], True),
+        *[([command, "--config", "c.json", "--format", "records"], False)
+          for command in ("run", "sweep-alpha", "sweep-size", "analyze")],
+    ])
+    def test_only_report_commands_take_format_and_wire_ones_take_no_config(
+            self, capsys, argv, refused):
+        # serve and join read the config and its seed from the manifest they serve
+        if not refused:
+            assert build_parser().parse_args(argv).format == "records"
+            return
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestConfigParsing:
@@ -361,7 +386,7 @@ class TestServeJoin:
 
         def serve():
             serve_code["value"] = main([
-                "serve", "--config", str(config_path), "--data", str(data_dir),
+                "serve", "--data", str(data_dir),
                 "--bind", f"127.0.0.1:{port}", "--timeout", "30",
                 "--out", str(tmp_path / "served")])
 
@@ -373,7 +398,7 @@ class TestServeJoin:
 
         def client(i):
             join_codes[i] = main([
-                "join", "--config", str(config_path), "--data", str(data_dir),
+                "join", "--data", str(data_dir),
                 "--participant", str(i), "--addr", f"127.0.0.1:{port}",
                 "--out", str(tmp_path / "joined")])
 
@@ -394,7 +419,7 @@ class TestServeJoin:
                        for line in transcript.read_text().splitlines())
 
     @staticmethod
-    def serve_in_order(config_path, data_dir, out, order):
+    def serve_in_order(data_dir, out, order):
         """Serve one round with ``--out``; participants register, then vote, in ``order``.
 
         Each participant is a raw socket that sends its REGISTER only once the
@@ -405,7 +430,7 @@ class TestServeJoin:
         port = free_port()
         code = {}
         server = threading.Thread(target=lambda: code.setdefault("serve", main([
-            "serve", "--config", str(config_path), "--data", str(data_dir),
+            "serve", "--data", str(data_dir),
             "--bind", f"127.0.0.1:{port}", "--timeout", "30", "--out", str(out)])),
             daemon=True)
         server.start()
@@ -446,7 +471,7 @@ class TestServeJoin:
         digests = []
         for name, order in (("first", (0, 1, 2)), ("second", (2, 0, 1))):
             out = tmp_path / name
-            self.serve_in_order(config_path, data_dir, out, order)
+            self.serve_in_order(data_dir, out, order)
             lines = [json.loads(line)
                      for line in (out / "transcript.jsonl").read_text().splitlines()]
             # every message of each participant, grouped by id, without addresses
@@ -474,14 +499,14 @@ class TestServeJoin:
 
         def serve():
             serve_code["value"] = main([
-                "serve", "--config", str(config_path), "--data", str(data_dir),
+                "serve", "--data", str(data_dir),
                 "--bind", f"127.0.0.1:{port}", "--timeout", "5"])
 
         server = threading.Thread(target=serve, daemon=True)
         server.start()
         import time
         time.sleep(0.4)
-        code = main(["join", "--config", str(config_path), "--data", str(tampered),
+        code = main(["join", "--data", str(tampered),
                      "--participant", "0", "--addr", f"127.0.0.1:{port}"])
         assert code == EXIT_PROTOCOL
         assert "hash mismatch" in capsys.readouterr().err
@@ -493,10 +518,10 @@ class TestServeJoin:
         ["join", "--participant", "0", "--addr", "127.0.0.1:9"],
     ])
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
-    def test_bad_timeout_flag_is_config_error(self, config_path, tmp_path, capsys,
-                                              command, timeout):
-        code = main([command[0], "--config", str(config_path), "--data", str(tmp_path),
-                     *command[1:], "--timeout", timeout])
+    def test_bad_timeout_flag_is_config_error(self, tmp_path, capsys, command, timeout):
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": base_config()}),
+                                                encoding="utf-8")
+        code = main([command[0], "--data", str(tmp_path), *command[1:], "--timeout", timeout])
         assert code == EXIT_CONFIG
         assert "config error: --timeout: timeout_s must be" in capsys.readouterr().err
 
@@ -504,29 +529,41 @@ class TestServeJoin:
         ["serve", "--bind", "127.0.0.1:0", "--timeout", "1"],
         ["join", "--participant", "0", "--addr", "127.0.0.1:9", "--timeout", "1"],
     ])
-    def test_invalid_manifest_is_config_error(self, config_path, tmp_path, capsys, command):
+    def test_invalid_manifest_is_config_error(self, tmp_path, capsys, command):
         manifest = tmp_path / "manifest.json"
         manifest.write_text('{"unlabeled": ', encoding="utf-8")
-        code = main([command[0], "--config", str(config_path), "--data", str(tmp_path),
-                     *command[1:]])
+        code = main([command[0], "--data", str(tmp_path), *command[1:]])
         assert code == EXIT_CONFIG
         assert f"config error: {manifest}: invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, manifest, missing", [
         (["serve", "--bind", "127.0.0.1:0", "--timeout", "1"],
-         {"participants": []}, "unlabeled"),
+         {"config": base_config(), "participants": []}, "unlabeled"),
         (["join", "--participant", "0", "--addr", "127.0.0.1:9", "--timeout", "1"],
-         {"participants": [{"label_space": [0, 1], "test": {"file": "t.csv"}}],
+         {"config": base_config(),
+          "participants": [{"label_space": [0, 1], "test": {"file": "t.csv"}}],
           "unlabeled": {"file": "u.csv"}}, "participants.0.train"),
+        (["serve", "--bind", "127.0.0.1:0", "--timeout", "1"], {"participants": []}, "config"),
+        (["join", "--participant", "0", "--addr", "127.0.0.1:9", "--timeout", "1"],
+         {"participants": []}, "config"),
     ])
-    def test_manifest_missing_key_is_config_error(self, config_path, tmp_path, capsys,
-                                                  command, manifest, missing):
+    def test_manifest_missing_key_is_config_error(self, tmp_path, capsys, command, manifest,
+                                                  missing):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        code = main([command[0], "--config", str(config_path), "--data", str(tmp_path),
-                     *command[1:]])
+        code = main([command[0], "--data", str(tmp_path), *command[1:]])
         assert code == EXIT_CONFIG
         assert f"config error: {path}: missing key '{missing}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "join"])
+    def test_invalid_manifest_config_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config": {**base_config(), "taxonomy": {"bogus": 1}}}),
+                        encoding="utf-8")
+        code = main([command, *WIRE_ARGS[command][2:], "--data", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert (f"config error: {path}: config.taxonomy: unknown key 'bogus'"
+                in capsys.readouterr().err)
 
     def test_join_rejects_a_label_space_that_is_not_integers(self, config_path, tmp_path,
                                                              capsys):
@@ -541,7 +578,7 @@ class TestServeJoin:
         path.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         # nothing listens on the port: the error must come before connecting
-        code = main(["join", "--config", str(config_path), "--data", str(data_dir),
+        code = main(["join", "--data", str(data_dir),
                      "--participant", "0", "--addr", f"127.0.0.1:{free_port()}",
                      "--timeout", "1"])
         assert code == EXIT_RUNTIME
@@ -550,6 +587,42 @@ class TestServeJoin:
     def test_serve_timeout_without_clients_exits_4(self, config_path, tmp_path):
         data_dir = tmp_path / "data"
         main(["generate-data", "--config", str(config_path), "--out", str(data_dir)])
-        code = main(["serve", "--config", str(config_path), "--data", str(data_dir),
+        code = main(["serve", "--data", str(data_dir),
                      "--bind", "127.0.0.1:0", "--timeout", "1"])
         assert code == EXIT_PROTOCOL
+
+    def test_wire_round_runs_the_seed_its_data_was_made_with(self, config_path, tmp_path,
+                                                             capsys):
+        # the data is made with a seed the config file does not hold; serve and
+        # join take no seed, yet every participant must match run --seed
+        seed = 11
+        assert json.loads(config_path.read_text())["master_seed"] != seed
+        data_dir = tmp_path / "data"
+        assert main(["generate-data", "--config", str(config_path), "--out", str(data_dir),
+                     "--seed", str(seed)]) == EXIT_OK
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run"),
+                     "--seed", str(seed)]) == EXIT_OK
+        expected = [r for r in map(json.loads, (tmp_path / "run" / "report.jsonl")
+                                   .read_text().splitlines()) if r["record"] == "participant"]
+        port = free_port()
+        codes = {}
+        server = threading.Thread(target=lambda: codes.setdefault("serve", main([
+            "serve", "--data", str(data_dir), "--bind", f"127.0.0.1:{port}",
+            "--timeout", "30"])), daemon=True)
+        server.start()
+        time.sleep(0.4)
+        capsys.readouterr()
+        clients = [threading.Thread(target=lambda i=i: codes.setdefault(i, main([
+            "join", "--data", str(data_dir), "--participant", str(i),
+            "--addr", f"127.0.0.1:{port}"]))) for i in range(3)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60)
+        server.join(timeout=60)
+        assert codes == {"serve": EXIT_OK, 0: EXIT_OK, 1: EXIT_OK, 2: EXIT_OK}
+        joined = sorted((json.loads(line) for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("{")), key=lambda r: r["participant"])
+        keys = ("participant", "bundle_size", "local_accuracy", "federated_accuracy")
+        assert [{k: r[k] for k in keys} for r in joined] == \
+            [{k: r[k] for k in keys} for r in expected]

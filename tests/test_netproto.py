@@ -1061,8 +1061,8 @@ class TestPeerFaults:
         assert box["result"].status == "aborted: connection closed mid-message"
 
     def test_register_outside_the_category_bound_is_refused_at_once(self):
-        # a stray declares every category id and one more; it is told the bound
-        # at once, and participant 0's round goes on without it
+        # a stray declares as many ids as the bound allows, the last one past it;
+        # it is told the bound at once, and participant 0's round goes on without it
         size = 100_000
         coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
             n_participants=1, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
@@ -1070,7 +1070,8 @@ class TestPeerFaults:
         started = time.monotonic()
         stray = RawClient(address)
         stray.send({"v": 1, "kind": "REGISTER", "payload": {
-            "participant_id": 0, "label_space": list(range(CATEGORY_LIMIT + 1)),
+            "participant_id": 0,
+            "label_space": list(range(CATEGORY_LIMIT - 1)) + [CATEGORY_LIMIT],
             "train_size": 5}})
         assert stray.recv() == {"v": 1, "kind": "ERROR", "payload": {
             "text": f"category id {CATEGORY_LIMIT} outside [0, {CATEGORY_LIMIT})"}}
@@ -1084,8 +1085,29 @@ class TestPeerFaults:
         assert box["result"].status == "completed"
 
     def test_register_repeating_one_id_is_told_that_id(self):
-        # a REGISTER of zeros just under the line cap; an error that echoed the
-        # whole space, three bytes an id against the line's two, would exceed it
+        # as many zeros as the bound allows: the error names the repeated id once,
+        # not the whole space
+        size = 60
+        coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
+            n_participants=1, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
+            timeout_s=10.0))
+        stray = RawClient(address)
+        stray.send({"v": 1, "kind": "REGISTER", "payload": {
+            "participant_id": 0, "label_space": [0] * CATEGORY_LIMIT, "train_size": 5}})
+        assert stray.recv() == {"v": 1, "kind": "ERROR", "payload": {
+            "text": "label space has duplicate categories [0]"}}
+        stray.close()
+        voter = register_raw(address, 0, [0, 1])
+        send_labels(voter, 0, [1] * size)
+        assert voter.recv()["kind"] == "BUNDLE"
+        voter.close()
+        thread.join(timeout=10)
+        assert box["result"].status == "completed"
+
+    def test_register_longer_than_the_category_bound_is_refused_by_its_length(self):
+        # a REGISTER of zeros just under the line cap is refused by its length,
+        # before any per-id pass; an error that echoed the whole space, three
+        # bytes an id against the line's two, would exceed the cap
         size = 60
         coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
             n_participants=1, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
@@ -1097,7 +1119,7 @@ class TestPeerFaults:
         stray = RawClient(address)
         stray.send_line(line)
         assert stray.recv() == {"v": 1, "kind": "ERROR", "payload": {
-            "text": "label space has duplicate categories [0]"}}
+            "text": f"label space has 500000 categories, more than {CATEGORY_LIMIT}"}}
         stray.close()
         voter = register_raw(address, 0, [0, 1])
         send_labels(voter, 0, [1] * size)
