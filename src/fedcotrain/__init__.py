@@ -55,7 +55,6 @@ from .theory import (
     TheoryError,
     TheoryParams,
     analyze_round,
-    empirical_disagreement,
     guarantee_condition_holds,
     labeled_risk_budget,
     retrained_error_bound,

@@ -53,6 +53,7 @@ from .orchestrator import (
     FederationConfig,
     RoundError,
     build_round_data,
+    category_reports,
     participant_train_config,
     run_round,
     sweep_alpha,
@@ -482,6 +483,8 @@ def cmd_serve(args) -> int:
         _write_jsonl(out / "transcript.jsonl", transcript)
         _write_jsonl(out / "bundles.jsonl",
                      [_bundle_record(result.bundles[i]) for i in sorted(result.bundles)])
+        categories = category_reports(result.pseudo_sets, result.label_spaces)
+        _write_jsonl(out / "categories.jsonl", [c.to_record() for c in categories])
     print(f"round {result.status}")
     return EXIT_OK if result.status == "completed" else EXIT_PROTOCOL
 
@@ -569,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory from generate-data")
     p.add_argument("--bind", default=None, help="host:port to listen on")
     p.add_argument("--timeout", type=float, default=None, help="straggler timeout seconds")
-    p.add_argument("--out", default=None, help="write transcript and bundles here")
+    p.add_argument("--out", default=None, help="write transcript, bundles, categories here")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("join", help="participate in a distributed round")
@@ -577,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--participant", type=int, required=True)
     p.add_argument("--addr", required=True, help="coordinator host:port")
     p.add_argument("--timeout", type=float, default=DEFAULT_CLIENT_TIMEOUT)
-    p.add_argument("--out", default=None, help="write the report fragment here")
+    p.add_argument("--out", default=None, help="write the report line and transcript here")
     p.set_defaults(func=cmd_join)
 
     return parser

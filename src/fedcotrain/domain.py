@@ -88,9 +88,6 @@ class LabelSpace:
     def __len__(self) -> int:
         return len(self.categories)
 
-    def overlaps(self, other: "LabelSpace") -> bool:
-        return not self._members.isdisjoint(other._members)
-
 
 def _as_feature_matrix(features, what: str) -> np.ndarray:
     arr = np.asarray(features, dtype=np.float64)

@@ -53,7 +53,9 @@ closed, and ``serve`` returns.
 
 ``join`` runs the same participant step as the in-process round,
 ``orchestrator.Participant``: it votes before connecting and retrains once
-the bundle has arrived, so wire and in-process participants agree.
+the bundle has arrived, so wire and in-process participants agree. It returns
+the in-process round's record, a ``JoinResult`` being an
+``orchestrator.ParticipantReport`` that also holds the bundle and transcript.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from .aggregation import aggregate, aggregate_weighted, build_bundle, remove_glo
 from .domain import CATEGORY_LIMIT, DomainError, LabeledDataset, LabelSpace, UnlabeledDataset
 from .learners import TrainConfig
 from .learners import evaluate, pseudolabel, train_local, update_train
-from .orchestrator import Participant, coordinate
+from .orchestrator import Participant, ParticipantReport, coordinate
 
 log = logging.getLogger(__name__)
 
@@ -373,12 +375,14 @@ class ServeResult:
     ``transcript`` is every message of the round in the order it was sent or
     read, each with its connection's address. A completed round also has
     ``participant_transcripts``: each registered participant's entries, in
-    the order its connection recorded them.
+    the order its connection recorded them, and ``label_spaces``, the spaces
+    they registered, in participant id order.
     """
 
     status: str
     bundles: dict[int, PseudolabelBundle] = field(default_factory=dict)
     pseudo_sets: dict[int, PseudolabelSet] = field(default_factory=dict)
+    label_spaces: list[LabelSpace] = field(default_factory=list)
     transcript: list = field(default_factory=list)
     participant_transcripts: dict[int, list] = field(default_factory=dict)
 
@@ -633,28 +637,17 @@ class Coordinator:
                                transcript=self.transcript)
         return ServeResult(status="completed", bundles=dict(self._bundles),
                            pseudo_sets=dict(self._pseudo_sets),
+                           label_spaces=[self._spaces[i] for i in sorted(self._spaces)],
                            transcript=self.transcript,
                            participant_transcripts=dict(self._entries))
 
 
-@dataclass
-class JoinResult:
-    participant: int
-    bundle: PseudolabelBundle
-    local_accuracy: float
-    federated_accuracy: float
-    relative_accuracy: float | None
-    transcript: list = field(default_factory=list)
+@dataclass(frozen=True, eq=False)
+class JoinResult(ParticipantReport):
+    """A participant's report line, plus the bundle it received and its transcript."""
 
-    def to_record(self) -> dict:
-        return {
-            "record": "participant",
-            "participant": self.participant,
-            "bundle_size": len(self.bundle),
-            "local_accuracy": self.local_accuracy,
-            "federated_accuracy": self.federated_accuracy,
-            "relative_accuracy": self.relative_accuracy,
-        }
+    bundle: PseudolabelBundle
+    transcript: list = field(default_factory=list)
 
 
 def join(address: tuple[str, int], *, participant_id: int, kind: str,
@@ -724,17 +717,11 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
         stream.close()
 
     baseline = participant.baseline()
-    local_accuracy = baseline[1]
     _, federated_accuracy = participant.update(bundle, baseline)
-    return JoinResult(
-        participant=participant_id,
-        bundle=bundle,
-        local_accuracy=local_accuracy,
-        federated_accuracy=federated_accuracy,
-        relative_accuracy=(federated_accuracy / local_accuracy
-                           if local_accuracy > 0 else None),
-        transcript=transcript,
-    )
+    return JoinResult(participant=participant_id, learner=kind, train_size=len(train),
+                      bundle_size=len(bundle), local_accuracy=baseline[1],
+                      federated_accuracy=federated_accuracy, bundle=bundle,
+                      transcript=transcript)
 
 
 def file_sha256(path) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -145,11 +145,6 @@ BENCHMARK_CYCLE = (
     ParticipantSpec("mlp", DEFAULT_LEARNER_CONFIGS["mlp"]),
 )
 
-SHOWCASE_CYCLE = tuple(
-    ParticipantSpec(kind, DEFAULT_LEARNER_CONFIGS[kind])
-    for kind in ("logreg", "knn", "gnb", "mlp")
-)
-
 
 def mixed_participants(n: int, cycle=BENCHMARK_CYCLE) -> tuple[ParticipantSpec, ...]:
     """Cycle heterogeneous learner specs across n participants."""
@@ -257,13 +252,24 @@ def build_round_data(config: FederationConfig) -> RoundData:
 
 @dataclass(frozen=True)
 class ParticipantReport:
+    """One participant's line of a round's report, in-process or over the wire."""
+
     participant: int
     learner: str
     train_size: int
     bundle_size: int
     local_accuracy: float
     federated_accuracy: float
-    relative_accuracy: float | None
+    relative_accuracy: float | None = field(init=False)
+
+    def __post_init__(self):
+        local, federated = self.local_accuracy, self.federated_accuracy
+        object.__setattr__(self, "relative_accuracy", federated / local if local > 0 else None)
+
+    def to_record(self) -> dict:
+        """The report line: this class's fields only, never a subclass's."""
+        return {"record": "participant",
+                **{f.name: getattr(self, f.name) for f in fields(ParticipantReport)}}
 
 
 @dataclass(frozen=True)
@@ -271,6 +277,17 @@ class CategoryReport:
     category: int
     owner_count: int
     pseudolabel_count: int
+
+    def to_record(self) -> dict:
+        return {"record": "category", **asdict(self)}
+
+
+def category_reports(pseudo_sets: dict[int, PseudolabelSet],
+                     spaces: Sequence[LabelSpace]) -> tuple[CategoryReport, ...]:
+    """One record per voted category, in id order: its owners and admitted count."""
+    return tuple(CategoryReport(category=c, owner_count=sum(1 for s in spaces if c in s),
+                                pseudolabel_count=len(pseudo_sets[c]))
+                 for c in sorted(pseudo_sets))
 
 
 @dataclass(frozen=True)
@@ -301,8 +318,7 @@ class RoundReport:
         return float(np.mean(ratios)) if ratios else None
 
     def to_records(self) -> list[dict]:
-        records = [{"record": "participant", **asdict(p)} for p in self.participants]
-        records += [{"record": "category", **asdict(c)} for c in self.categories]
+        records = [r.to_record() for r in (*self.participants, *self.categories)]
         records.append({
             "record": "summary",
             "alpha": self.alpha,
@@ -483,29 +499,14 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
     federated = [p.update(bundle, baseline)
                  for p, bundle, baseline in zip(members, bundles, prep.baselines)]
     participant_reports = tuple(
-        ParticipantReport(
-            participant=p.index,
-            learner=p.learner,
-            train_size=len(p.train),
-            bundle_size=len(bundle),
-            local_accuracy=local_acc,
-            federated_accuracy=fed_acc,
-            relative_accuracy=(fed_acc / local_acc) if local_acc > 0 else None,
-        )
+        ParticipantReport(participant=p.index, learner=p.learner, train_size=len(p.train),
+                          bundle_size=len(bundle), local_accuracy=local_acc,
+                          federated_accuracy=fed_acc)
         for p, bundle, (_, local_acc), (_, fed_acc)
         in zip(members, bundles, prep.baselines, federated))
-
-    category_reports = tuple(
-        CategoryReport(
-            category=c,
-            owner_count=sum(1 for s in spaces if c in s),
-            pseudolabel_count=len(pseudo_sets[c]),
-        )
-        for c in sorted(pseudo_sets)
-    )
     report = RoundReport(
         participants=participant_reports,
-        categories=category_reports,
+        categories=category_reports(pseudo_sets, spaces),
         alpha=alpha,
         master_seed=config.master_seed,
         mode=config.partition.mode,

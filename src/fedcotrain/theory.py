@@ -62,18 +62,6 @@ class TheoryParams:
             raise TheoryError("helper_disagreement must lie in [0, 1]")
 
 
-def empirical_disagreement(h1, h2, data) -> float:
-    """Fraction of instances on which two classifiers disagree.
-
-    A pseudo-metric over any evaluation set: non-negative, symmetric, and
-    zero for a classifier against itself.
-    """
-    X = data.features if hasattr(data, "features") else np.asarray(data, dtype=np.float64)
-    if len(X) == 0:
-        raise TheoryError("cannot measure disagreement on an empty dataset")
-    return float(np.mean(h1.predict_batch(X) != h2.predict_batch(X)))
-
-
 def prediction_disagreement(a: np.ndarray, b: np.ndarray) -> float:
     """Disagreement between two already-computed prediction vectors."""
     a = np.asarray(a)
@@ -177,7 +165,7 @@ def analyze_round(artifacts, helper_error: float | None = None) -> RoundAnalysis
         if pseudo_size > 0:
             pseudo = materialize_bundle(bundle, artifacts.unlabeled)
             fed_preds = artifacts.federated_classifiers[i].predict_batch(pseudo.features)
-            disagreement = float(np.mean(fed_preds != pseudo.labels))
+            disagreement = prediction_disagreement(fed_preds, pseudo.labels)
         else:
             disagreement = 0.0
         params = TheoryParams(

@@ -280,18 +280,20 @@ def test_a6_wire_matches_in_process(wire_round):
         for b in in_process.artifacts.bundles)
     bundles_identical = served_bundles == expected_bundles
 
-    accuracies_identical = True
-    for i, p in enumerate(in_process.report.participants):
-        fragment = json.loads(
-            (wire_round["tmp"] / "joined" / f"participant_{i:02d}_report.jsonl")
-            .read_text())
-        if (fragment["local_accuracy"] != p.local_accuracy
-                or fragment["federated_accuracy"] != p.federated_accuracy):
-            accuracies_identical = False
+    # the joins' participant lines, in id order, then serve's category lines are
+    # run's report.jsonl without its summary line, byte for byte
+    joined = wire_round["tmp"] / "joined"
+    wire_records = "".join(
+        [(joined / f"participant_{i:02d}_report.jsonl").read_text() for i in range(3)]
+        + [(wire_round["tmp"] / "served" / "categories.jsonl").read_text()])
+    expected_records = "".join(
+        line + "\n" for line in in_process.report.to_jsonl().splitlines()
+        if json.loads(line)["record"] != "summary")
+    records_identical = wire_records == expected_records
     elapsed = time.monotonic() - started
-    report("A6", bundles_identical and accuracies_identical,
-           f"3-participant loopback round: bundles and accuracies bit-identical "
-           f"to the in-process orchestrator (compare took {elapsed:.0f}s)")
+    report("A6", bundles_identical and records_identical,
+           f"3-participant loopback round: bundles, participant and category records "
+           f"byte-identical to the in-process orchestrator (compare took {elapsed:.0f}s)")
 
 
 def test_a7_privacy_boundary(wire_round):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import fedcotrain as fc
 import fedcotrain.netproto as netproto
 import fedcotrain.orchestrator as orch
-from fedcotrain.aggregation import aggregate, build_bundle
+from fedcotrain.aggregation import PseudolabelBundle, aggregate, build_bundle
 from fedcotrain.domain import CATEGORY_LIMIT, LabelSpace
 from fedcotrain.netproto import (
     MESSAGE_SCHEMAS,
@@ -469,12 +469,26 @@ class TestRound:
             in_process = run_round(config)
             for i, p in enumerate(in_process.report.participants):
                 assert results[i].bundle == in_process.artifacts.bundles[i]
-                assert results[i].local_accuracy == p.local_accuracy
-                assert results[i].federated_accuracy == p.federated_accuracy
+                assert results[i].to_record() == p.to_record()
             for i, bundle in box["result"].bundles.items():
                 assert bundle == in_process.artifacts.bundles[i]
+            served = box["result"]
+            assert served.label_spaces == in_process.artifacts.label_spaces
+            assert (orch.category_reports(served.pseudo_sets, served.label_spaces)
+                    == in_process.report.categories)
         assert all(len(r.bundle) == 0 and r.federated_accuracy == r.local_accuracy
                    for r in results.values())
+
+    def test_join_result_record_is_the_in_process_participant_record(self):
+        report = orch.ParticipantReport(participant=2, learner="gnb", train_size=16,
+                                        bundle_size=0, local_accuracy=0.5,
+                                        federated_accuracy=0.75)
+        joined = netproto.JoinResult(
+            **{f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.init},
+            bundle=PseudolabelBundle.empty(2), transcript=[{"direction": "send"}])
+        assert joined.relative_accuracy == 1.5
+        # the bundle and the transcript stay out of the report line
+        assert joined.to_record() == report.to_record()
 
     def one_participant_transcripts(self):
         """The coordinator's and the participant's transcripts of a 1-participant round."""

@@ -145,8 +145,9 @@ class TestRunRound:
 
     def test_round_with_all_four_learner_kinds(self):
         cfg = small_config()
-        cfg = dataclasses.replace(
-            cfg, participants=orch.mixed_participants(4, orch.SHOWCASE_CYCLE))
+        cycle = tuple(orch.ParticipantSpec(kind, orch.DEFAULT_LEARNER_CONFIGS[kind])
+                      for kind in ("logreg", "knn", "gnb", "mlp"))
+        cfg = dataclasses.replace(cfg, participants=orch.mixed_participants(4, cycle))
         result = run_round(cfg)
         kinds = [p.learner for p in result.report.participants]
         assert kinds == ["logreg", "knn", "gnb", "mlp"]
@@ -253,6 +254,19 @@ class TestReportSerialization:
         }
         for record in result.report.to_records():
             assert set(record) == allowed[record["record"]]
+
+    def test_relative_accuracy_is_the_reports_own_ratio(self):
+        report = orch.ParticipantReport(participant=0, learner="knn", train_size=8,
+                                        bundle_size=3, local_accuracy=0.8,
+                                        federated_accuracy=0.6)
+        assert report.relative_accuracy == 0.6 / 0.8
+        assert report.to_record()["relative_accuracy"] == 0.6 / 0.8
+        # a local model that gets nothing right has no ratio
+        zero = dataclasses.replace(report, local_accuracy=0.0)
+        assert zero.relative_accuracy is None
+        assert zero.to_record()["relative_accuracy"] is None
+        with pytest.raises(TypeError):
+            orch.ParticipantReport(0, "knn", 8, 3, 0.8, 0.6, relative_accuracy=2.0)
 
 
 # report.jsonl sha256s frozen before the vote kernel was rewritten; a change

@@ -10,7 +10,6 @@ from fedcotrain.theory import (
     TheoryError,
     TheoryParams,
     analyze_round,
-    empirical_disagreement,
     guarantee_condition_holds,
     labeled_risk_budget,
     prediction_disagreement,
@@ -112,27 +111,32 @@ def _fit(seed, rows, labels):
     return train_local("knn", LabelSpace((0, 1)), data, TrainConfig(seed=seed, k=1))
 
 
+def disagreement(h1, h2, data):
+    """The helper-disagreement metric of two classifiers over ``data``."""
+    return prediction_disagreement(h1.predict_batch(data), h2.predict_batch(data))
+
+
 class TestEmpiricalDisagreement:
     def test_self_disagreement_zero(self):
         rng = np.random.default_rng(1)
         clf = _fit(0, rng.normal(0, 1, (10, 2)), np.array([0, 1] * 5))
         X = UnlabeledDataset(rng.normal(0, 1, (30, 2)))
-        assert empirical_disagreement(clf, clf, X) == 0.0
+        assert disagreement(clf, clf, X) == 0.0
 
     def test_complementary_classifiers(self):
         rows = np.array([[-1.0, 0.0], [1.0, 0.0]])
         a = _fit(0, rows, np.array([0, 1]))
         b = _fit(0, rows, np.array([1, 0]))
         X = UnlabeledDataset(np.random.default_rng(2).normal(0, 2, (40, 2)))
-        assert empirical_disagreement(a, b, X) == 1.0
+        assert disagreement(a, b, X) == 1.0
 
     def test_symmetry_and_recount(self):
         rng = np.random.default_rng(3)
         a = _fit(0, rng.normal(0, 1, (20, 2)), rng.integers(0, 2, 20))
         b = _fit(1, rng.normal(0, 1, (20, 2)), rng.integers(0, 2, 20))
         X = UnlabeledDataset(rng.normal(0, 1.5, (50, 2)))
-        d_ab = empirical_disagreement(a, b, X)
-        d_ba = empirical_disagreement(b, a, X)
+        d_ab = disagreement(a, b, X)
+        d_ba = disagreement(b, a, X)
         assert d_ab == d_ba
         mismatches = sum(int(x != y) for x, y in zip(
             a.predict_batch(X).tolist(), b.predict_batch(X).tolist()))
@@ -142,7 +146,7 @@ class TestEmpiricalDisagreement:
         rng = np.random.default_rng(4)
         clf = _fit(0, rng.normal(0, 1, (10, 2)), np.array([0, 1] * 5))
         with pytest.raises(TheoryError):
-            empirical_disagreement(clf, clf, np.zeros((0, 2)))
+            disagreement(clf, clf, np.zeros((0, 2)))
 
 
 class TestAnalyzeRound:
