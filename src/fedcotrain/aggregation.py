@@ -43,8 +43,8 @@ checks that its entries are disjoint by marking them in a one-byte
 seen-table over the same range, and calls ``_repeated`` only to name the
 shared indices in its error. An index set holds its indices as a read-only,
 one-dimensional int64 array, from the vote to the wire: the count, the
-conflict masks and the bundle's rows work on it directly, and only the JSON
-boundary turns it into a list.
+conflict masks and the bundle's rows work on it directly, and the wire
+carries its bytes (``netproto.array_text``).
 """
 
 from __future__ import annotations
@@ -168,7 +168,9 @@ def vote_positions(row: np.ndarray, space: LabelSpace, targets: np.ndarray | Non
     top = own[-1]
     table = np.full(top + 1, -1, dtype=np.int32)
     table[own] = targets
-    # "clip" sends a vote outside the table to one of its ends; the mask undoes that
+    # "clip" sends a vote outside the table to one of its ends; the mask undoes that.
+    # Not "wrap": numpy wraps by adding the table's length once per wrap, so a
+    # vote of -2**63 from the wire would stall the coordinator's one loop.
     mapped = table.take(row, out=out, mode="clip")
     if len(row) and (row.min() < 0 or row.max() > top):
         mapped[(row < 0) | (row > top)] = -1

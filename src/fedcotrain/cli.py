@@ -8,7 +8,9 @@ seed produce identical files. That includes the wire round's transcripts:
 after another, in participant id order, and neither ``serve`` nor ``join``
 writes a connection's address. An aborted round's ``transcript.jsonl`` is a
 log instead: every message in the order it was sent or read, with its
-connection's address, so it depends on timing.
+connection's address, so it depends on timing. Each transcript line holds
+its message as the wire carries it, every int array as its array text, so
+each line passes ``netproto.validate_message``.
 
 The document schema is derived from the dataclasses the document builds:
 every field is a key, required when the field has no default and checked
@@ -45,6 +47,7 @@ from .netproto import (
     DEFAULT_CLIENT_TIMEOUT,
     DEFAULT_COORDINATOR_TIMEOUT,
     ProtocolError,
+    array_text,
     entries_payload,
     file_sha256,
     join as netproto_join,
@@ -269,9 +272,9 @@ def _resolve_out(flag_value, rc: RunConfig) -> Path:
     return path
 
 
-def _write_jsonl(path: Path, records) -> None:
-    # arrays are written as the lists of their values
-    path.write_text("".join(json.dumps(r, sort_keys=True, default=np.ndarray.tolist) + "\n"
+def _write_jsonl(path: Path, records, default=np.ndarray.tolist) -> None:
+    # arrays are written by ``default``: as the lists of their values, unless told otherwise
+    path.write_text("".join(json.dumps(r, sort_keys=True, default=default) + "\n"
                             for r in records), encoding="utf-8")
 
 
@@ -480,7 +483,7 @@ def cmd_serve(args) -> int:
         if result.status == "completed":
             parts = result.participant_transcripts
             transcript = _without_peer(entry for i in sorted(parts) for entry in parts[i])
-        _write_jsonl(out / "transcript.jsonl", transcript)
+        _write_jsonl(out / "transcript.jsonl", transcript, default=array_text)
         _write_jsonl(out / "bundles.jsonl",
                      [_bundle_record(result.bundles[i]) for i in sorted(result.bundles)])
         categories = category_reports(result.pseudo_sets, result.label_spaces)
@@ -519,7 +522,7 @@ def cmd_join(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_jsonl(out / f"participant_{i:02d}_report.jsonl", [record])
         _write_jsonl(out / f"participant_{i:02d}_transcript.jsonl",
-                     _without_peer(result.transcript))
+                     _without_peer(result.transcript), default=array_text)
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 

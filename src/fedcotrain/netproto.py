@@ -1,32 +1,35 @@
 """Coordinator service and participant client over a TCP wire protocol.
 
-One JSON object per line, UTF-8, newline-delimited:
+One JSON object per line, UTF-8, newline-delimited, with sorted keys and no
+spaces:
 
-    {"v": 1, "kind": "<KIND>", "payload": {...}}
+    {"kind":"<KIND>","payload":{...},"v":2}
 
 Kinds and payloads:
 
-* ``REGISTER``      {participant_id, label_space: [int], train_size}
+* ``REGISTER``      {participant_id, label_space: ints, train_size}
 * ``REGISTER_ACK``  {participant_id, n_participants, unlabeled_size,
                      dataset_sha256}
-* ``PREDICTIONS``   {participant_id, labels: [int] * unlabeled_size}
-* ``BUNDLE``        {participant_id, entries: [{category, indices: [int]}]}
+* ``PREDICTIONS``   {participant_id, labels: ints of length unlabeled_size}
+* ``BUNDLE``        {participant_id, entries: [{category, indices: ints}]}
 * ``ERROR``         {text}
 * ``BYE``           {}
 
-An int list (``label_space``, ``labels``, ``indices``) is a JSON array of
-integers on the wire and a read-only int64 array in memory, on both sides.
-``Message.encode`` writes such arrays with a vectorised digit kernel and every
-other value with ``json``; its bytes are exactly those of
-``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` on the same message
-with lists in place of arrays. ``decode_line`` turns each int list into an
-array in one step, rejecting any value outside int64. A transcript records
-each message's payload as it was sent or decoded, arrays included; only a
-file writer turns them into lists. The coordinator's transcript is in arrival
-order, and a completed round also gives each registered participant's part.
-Category ids lie in ``[0, domain.CATEGORY_LIMIT)`` and indices below U, so
-``line_cap(U)`` bounds every legal line of a round over U public rows; both
-sides refuse a longer line with a ProtocolError.
+An int array (``label_space``, ``labels``, ``indices``) is one JSON string on
+the wire, its *array text*, and a read-only int64 array in memory, on both
+sides. The text is a width digit, ``1``, ``2``, ``4`` or ``8``: the fewest
+bytes that hold every value as a signed integer, then standard padded base64
+of the values as little-endian signed integers of that width; ``[0, 1, 2, 3]``
+is ``"1AAECAw=="``. ``Message.encode`` is one ``json.dumps`` whose hook,
+``array_text``, writes each array, and ``decode_line`` turns each text back
+into an array in one step, so neither side builds a Python int per value. A
+line of another protocol version is refused before its payload is read. A
+transcript records each message's payload as it was sent or decoded, arrays
+included. The coordinator's transcript is in arrival order, and a completed
+round also gives each registered participant's part. Category ids lie in
+``[0, domain.CATEGORY_LIMIT)`` and indices below U, so ``line_cap(U)`` bounds
+every line ``Message.encode`` writes in a legal round over U public rows;
+both sides refuse a longer line with a ProtocolError.
 
 The coordinator never transmits instances: the public dataset is published
 out-of-band as a file whose content hash rides in REGISTER_ACK so clients can
@@ -60,6 +63,7 @@ the in-process round's record, a ``JoinResult`` being an
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
@@ -82,7 +86,7 @@ from .orchestrator import Participant, ParticipantReport, coordinate
 
 log = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_COORDINATOR_TIMEOUT = 60.0
 DEFAULT_CLIENT_TIMEOUT = 120.0
 
@@ -95,7 +99,7 @@ class ProtocolError(RuntimeError):
 # in-memory value, or None when the decoded value has the wrong type or range
 # (no field takes null). Unknown fields are rejected, so a schema pass proves a
 # message carries only ids, indices, sizes, and text - never feature vectors.
-# Integers must fit in int64; an int list becomes a read-only int64 array.
+# Integers must fit in int64; an array text becomes a read-only int64 array.
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
 
@@ -108,16 +112,23 @@ def _text(v):
     return v if isinstance(v, str) else None
 
 
+# The width digits, from an explicit table so that no other digit passes
+# (``int`` would take a Unicode one).
+_WIDTHS = {"1": 1, "2": 2, "4": 4, "8": 8}
+
+
 def _int_array(v):
-    # One type pass over the whole list: JSON decodes integers as exactly
-    # int (bool is its own type, so it is rejected). The conversion's
-    # OverflowError is the int64 bounds check.
-    if not isinstance(v, list) or not set(map(type, v)) <= {int}:
+    width = _WIDTHS.get(v[:1]) if isinstance(v, str) else None
+    if width is None:
         return None
     try:
-        values = np.array(v, dtype=np.int64)
-    except OverflowError:
+        # refuses a character outside the alphabet, whitespace and missing padding
+        raw = base64.b64decode(v[1:], validate=True)
+    except ValueError:
         return None
+    if len(raw) % width:
+        return None
+    values = np.frombuffer(raw, f"<i{width}").astype(np.int64)
     values.flags.writeable = False
     return values
 
@@ -147,78 +158,23 @@ MESSAGE_SCHEMAS = {
 }
 
 
-def _int64_json(values: np.ndarray) -> bytes:
-    """``json.dumps(values.tolist(), separators=(",", ":"))`` of a 1-D int64 array.
+def _narrowest_width(lo: int, hi: int) -> int:
+    """The fewest bytes, of 1, 2, 4 and 8, that hold every integer in [lo, hi] signed."""
+    return next(w for w in (1, 2, 4, 8) if -(1 << 8 * w - 1) <= lo and hi < 1 << 8 * w - 1)
 
-    Every step runs over all values at once. Each value gets one row of
-    characters: a sign, its digits right-aligned in the widest value's width,
-    and a comma. A mask marks the characters the value really has, and the
-    text is the masked characters in row order.
+
+def array_text(values: np.ndarray) -> str:
+    """The array text of a 1-D int64 array, as ``json.dumps``'s ``default`` hook.
+
+    The text is the narrowest width that holds every value, as one digit,
+    then standard padded base64 of the values as little-endian signed
+    integers of that width. An empty array is ``"1"``. Any other value,
+    an array of another dtype or shape included, raises TypeError.
     """
-    n = len(values)
-    if n == 0:
-        return b"[]"
-    negative = values < 0
-    # magnitudes as uint64, where -2**63 has one too
-    rest = values.view(np.uint64).copy()
-    np.negative(rest, out=rest, where=negative)
-    width = len(str(int(rest.max())))
-    chars = np.empty((n, width + 2), dtype=np.uint8)
-    keep = np.empty((n, width + 2), dtype=bool)
-    keep[:, 0] = negative
-    keep[:, width] = True  # the last digit
-    keep[:, -1] = True
-    quotient = np.empty(n, dtype=np.uint64)
-    digit = np.empty(n, dtype=np.uint64)
-    for col in range(width, 0, -1):
-        if col < width:
-            # a value has a higher digit only while some of it is left
-            np.greater(rest, 0, out=keep[:, col])
-        np.floor_divide(rest, 10, out=quotient)
-        np.multiply(quotient, 10, out=digit)
-        np.subtract(rest, digit, out=digit)
-        chars[:, col] = digit
-        rest, quotient = quotient, rest
-    chars += ord("0")
-    chars[:, 0] = ord("-")
-    chars[:, -1] = ord(",")
-    text = chars[keep]
-    text[-1] = ord("]")
-    return b"[" + text.tobytes()
-
-
-def _write_json(value, out: list) -> None:
-    """Append ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` to out.
-
-    A 1-D int64 array is written as the list of its values by
-    ``_int64_json``. Any other value goes to ``json.dumps`` whole; only when
-    that fails on a type, because the value holds arrays, is a dict with
-    string keys or a list written here item by item.
-    """
-    if isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 1:
-        out.append(_int64_json(value))
-        return
-    try:
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    except TypeError:
-        if isinstance(value, dict) and all(isinstance(key, str) for key in value):
-            sep = b"{"
-            for key in sorted(value):
-                out += (sep, json.dumps(key).encode(), b":")
-                _write_json(value[key], out)
-                sep = b","
-            out.append(b"}")
-        elif isinstance(value, list):
-            sep = b"["
-            for item in value:
-                out.append(sep)
-                _write_json(item, out)
-                sep = b","
-            out.append(b"]")
-        else:
-            raise
-    else:
-        out.append(text.encode())
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1):
+        raise TypeError(f"{type(values).__name__} is not a 1-D int64 array")
+    width = _narrowest_width(int(values.min()), int(values.max())) if len(values) else 1
+    return f"{width}{base64.b64encode(values.astype(f'<i{width}').tobytes()).decode('ascii')}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,10 +186,9 @@ class Message:
     v: int = PROTOCOL_VERSION
 
     def encode(self) -> bytes:
-        out: list[bytes] = []
-        _write_json({"v": self.v, "kind": self.kind, "payload": self.payload}, out)
-        out.append(b"\n")
-        return b"".join(out)
+        return json.dumps({"v": self.v, "kind": self.kind, "payload": self.payload},
+                          sort_keys=True, separators=(",", ":"),
+                          default=array_text).encode() + b"\n"
 
     def __eq__(self, other):
         if not isinstance(other, Message):
@@ -244,13 +199,18 @@ class Message:
 def validate_message(doc) -> Message:
     """Parse and schema-check one decoded JSON object.
 
-    The message's payload is a new dict, with each int list as a read-only
-    int64 array; ``doc`` is left as it was.
+    The version is checked before the payload, so a peer of another version is
+    told that, whatever its payload holds. The message's payload is a new
+    dict, with each array text as a read-only int64 array; ``doc`` is left as
+    it was.
     """
     if not isinstance(doc, dict) or set(doc) != {"v", "kind", "payload"}:
         raise ProtocolError("message must have exactly the fields v, kind, payload")
     if not _is_int(doc["v"]):
         raise ProtocolError("protocol version must be an integer")
+    if doc["v"] != PROTOCOL_VERSION:
+        raise ProtocolError(f"protocol version mismatch: this side speaks "
+                            f"{PROTOCOL_VERSION}, the peer sent {doc['v']}")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in MESSAGE_SCHEMAS:
         raise ProtocolError(f"unknown message kind {kind!r}")
@@ -283,17 +243,24 @@ def line_cap(unlabeled_size: int) -> int:
 
     A REGISTER holds each category id once at most, a PREDICTIONS line one id
     per row, and a BUNDLE one entry per id and each row's index once at most.
-    Each id or index takes its digits and a comma, as ``Message.encode``
-    writes it, and 256 bytes cover any message's names, int fields or short
-    text. At 10**5 rows this is 1.70 MiB, and the longest BUNDLE 1.55 MiB.
+    An id is below ``CATEGORY_LIMIT`` = 2**15, so its array text takes 2
+    bytes a value; an index is below ``unlabeled_size``. Base64 writes 4
+    characters for each 3 bytes; each array text adds its width digit and at
+    most 3 characters of padding, and 256 bytes cover any message's names,
+    int fields or short text. At 10**5 rows this is 1.63 MiB, set by the
+    BUNDLE, whose 32,768 entry frames outweigh its 4-byte indices.
     """
-    id_width = len(str(CATEGORY_LIMIT - 1)) + 1
-    index_width = len(str(unlabeled_size)) + 1
-    entry_width = len('{"category":,"indices":[]},') + id_width
+    def text(n_bytes):  # an array text of n_bytes bytes, with its quotes
+        return 3 + 4 * -(-n_bytes // 3)
+
+    id_bytes = _narrowest_width(0, CATEGORY_LIMIT - 1)
+    index_bytes = _narrowest_width(0, unlabeled_size - 1)
+    # one entry's frame: its category's digits, and its text's quotes, width digit and padding
+    entry = len('{"category":,"indices":},') + len(str(CATEGORY_LIMIT - 1)) + text(0) + 3
     return 256 + max(
-        CATEGORY_LIMIT * id_width,  # REGISTER
-        unlabeled_size * id_width,  # PREDICTIONS
-        CATEGORY_LIMIT * entry_width + unlabeled_size * index_width)  # BUNDLE
+        text(CATEGORY_LIMIT * id_bytes),  # REGISTER
+        text(unlabeled_size * id_bytes),  # PREDICTIONS
+        CATEGORY_LIMIT * entry + -(-4 * unlabeled_size * index_bytes // 3))  # BUNDLE
 
 
 class MessageStream:
@@ -529,9 +496,6 @@ class Coordinator:
         conn._record("recv", message)
         n, pid = self.settings.n_participants, conn.pid
         if conn.state == "REGISTER":
-            if message.v != PROTOCOL_VERSION:
-                raise ProtocolError(f"protocol version mismatch: coordinator speaks "
-                                    f"{PROTOCOL_VERSION}, client sent {message.v}")
             if message.kind != "REGISTER":
                 raise ProtocolError(f"expected REGISTER, got {message.kind}")
             pid = message.payload["participant_id"]

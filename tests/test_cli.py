@@ -23,7 +23,9 @@ from fedcotrain.cli import (
 )
 from fedcotrain.domain import PartitionSpec
 from fedcotrain.learners import TrainConfig
+from fedcotrain.netproto import PROTOCOL_VERSION
 from fedcotrain.orchestrator import build_round_data
+from test_netproto import wire_line
 
 
 def base_config(n=3, m=60, seed=2, mode="noniid"):
@@ -448,14 +450,14 @@ class TestServeJoin:
             reader = sock.makefile("rb")
             clients[i] = sock, reader
             space = manifest["participants"][i]["label_space"]
-            sock.sendall(json.dumps({"v": 1, "kind": "REGISTER", "payload": {
-                "participant_id": i, "label_space": space, "train_size": 8}}).encode() + b"\n")
+            sock.sendall(wire_line({"v": PROTOCOL_VERSION, "kind": "REGISTER", "payload": {
+                "participant_id": i, "label_space": space, "train_size": 8}}))
             assert json.loads(reader.readline())["kind"] == "REGISTER_ACK"
         for i in order:
             space = manifest["participants"][i]["label_space"]
             labels = [space[(j * (i + 1)) % len(space)] for j in range(size)]
-            clients[i][0].sendall(json.dumps({"v": 1, "kind": "PREDICTIONS", "payload": {
-                "participant_id": i, "labels": labels}}).encode() + b"\n")
+            clients[i][0].sendall(wire_line({"v": PROTOCOL_VERSION, "kind": "PREDICTIONS",
+                                             "payload": {"participant_id": i, "labels": labels}}))
         for i in order:
             sock, reader = clients[i]
             assert [json.loads(reader.readline())["kind"] for _ in range(2)] == ["BUNDLE", "BYE"]

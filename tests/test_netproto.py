@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import gc
 import hashlib
@@ -21,10 +22,12 @@ from fedcotrain.aggregation import PseudolabelBundle, aggregate, build_bundle
 from fedcotrain.domain import CATEGORY_LIMIT, LabelSpace
 from fedcotrain.netproto import (
     MESSAGE_SCHEMAS,
+    PROTOCOL_VERSION,
     Coordinator,
     CoordinatorSettings,
     Message,
     ProtocolError,
+    array_text,
     bundle_from_payload,
     decode_line,
     join,
@@ -99,6 +102,22 @@ def join_participant(config, data, i, address, sha=None):
     )
 
 
+ARRAY_FIELDS = ("label_space", "labels", "indices")
+
+
+def wire_line(doc: dict) -> bytes:
+    """``doc`` as a protocol-2 peer sends it: each int list of an array field as array text."""
+    def write(value, name=None):
+        if name in ARRAY_FIELDS and isinstance(value, list):
+            return array_text(np.array(value, dtype=np.int64))
+        if isinstance(value, dict):
+            return {key: write(item, key) for key, item in value.items()}
+        if isinstance(value, list):
+            return [write(item) for item in value]
+        return value
+    return json.dumps(write(doc)).encode() + b"\n"
+
+
 class RawClient:
     def __init__(self, address):
         self.sock = socket.create_connection(address, timeout=10.0)
@@ -108,7 +127,7 @@ class RawClient:
         self.sock.sendall(raw)
 
     def send(self, doc: dict):
-        self.send_line(json.dumps(doc).encode() + b"\n")
+        self.send_line(wire_line(doc))
 
     def recv(self) -> dict:
         line = self.file.readline()
@@ -124,21 +143,21 @@ class RawClient:
 
 class TestMessages:
     def test_encode_decode_round_trip(self):
-        msg = Message("REGISTER", {"participant_id": 1, "label_space": [0, 2],
-                                   "train_size": 10})
+        msg = Message("REGISTER", {"participant_id": 1, "train_size": 10,
+                                   "label_space": np.array([0, 2], dtype=np.int64)})
         assert decode_line(msg.encode().strip()) == msg
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ProtocolError, match="unknown message kind"):
-            validate_message({"v": 1, "kind": "STEAL", "payload": {}})
+            validate_message({"v": PROTOCOL_VERSION, "kind": "STEAL", "payload": {}})
 
     def test_extra_payload_field_rejected(self):
         with pytest.raises(ProtocolError, match="exactly the fields"):
-            validate_message({"v": 1, "kind": "BYE", "payload": {"x": 1}})
+            validate_message({"v": PROTOCOL_VERSION, "kind": "BYE", "payload": {"x": 1}})
 
     def test_wrong_type_rejected(self):
         with pytest.raises(ProtocolError, match="wrong type"):
-            validate_message({"v": 1, "kind": "PREDICTIONS",
+            validate_message({"v": PROTOCOL_VERSION, "kind": "PREDICTIONS",
                               "payload": {"participant_id": 0, "labels": [0.5]}})
 
     def test_malformed_json_names_parse_failure(self):
@@ -157,13 +176,14 @@ JSON_VALUES = st.recursive(
     max_leaves=20)
 FIELD_NAMES = sorted({name for schema in MESSAGE_SCHEMAS.values() for name in schema})
 MESSAGE_DOCS = st.fixed_dictionaries({
-    "v": st.just(1) | JSON_VALUES,
+    "v": st.just(PROTOCOL_VERSION) | JSON_VALUES,
     "kind": st.sampled_from(sorted(MESSAGE_SCHEMAS)) | JSON_VALUES,
     "payload": st.dictionaries(st.sampled_from(FIELD_NAMES), JSON_VALUES, max_size=5)
     | JSON_VALUES,
 })
 VALID_LINE = Message("BUNDLE", {"participant_id": 1, "entries": [
-    {"category": 3, "indices": [0, 5]}]}).encode().strip()
+    {"category": 3, "indices": np.array([0, 5], dtype=np.int64)},
+    {"category": 4, "indices": np.array([1, 70_000], dtype=np.int64)}]}).encode().strip()
 
 
 def splice(cut, length, insert):
@@ -192,40 +212,94 @@ def test_fuzz_decode_line_yields_message_or_protocol_error(line):
     assert message.kind in MESSAGE_SCHEMAS
 
 
-def reference_is_int_list(v):
-    """The per-element int64 list check, as the wire schema first wrote it."""
-    def is_int(x):
-        return isinstance(x, int) and not isinstance(x, bool) and -2 ** 63 <= x < 2 ** 63
-    return isinstance(v, list) and all(is_int(x) for x in v)
+def reference_values(text):
+    """The values an array text carries, one element at a time, or None when it is malformed."""
+    widths = {"1": 1, "2": 2, "4": 4, "8": 8}
+    if not isinstance(text, str) or text[:1] not in widths:
+        return None
+    width = widths[text[0]]
+    try:
+        raw = base64.b64decode(text[1:], validate=True)
+    except ValueError:
+        return None
+    if len(raw) % width:
+        return None
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, len(raw), width)]
 
 
-INT64_EDGES = st.sampled_from([-2 ** 63 - 1, -2 ** 63, -1, 0, 2 ** 63 - 1, 2 ** 63])
-# Everything a JSON decode can hand the list check: mostly-int lists near the
-# int64 edges, lists mixing in bools, floats and nested values, and non-lists.
-DECODED_VALUES = st.one_of(
-    st.lists(st.integers() | INT64_EDGES, max_size=20),
-    st.lists(st.integers() | INT64_EDGES | st.booleans() | st.floats() | JSON_VALUES,
-             max_size=8),
-    JSON_VALUES,
-).map(lambda v: json.loads(json.dumps(v)))
+def reference_width(values):
+    """The fewest of 1, 2, 4 and 8 bytes that hold every value signed."""
+    return next(w for w in (1, 2, 4, 8)
+                if all(-2 ** (8 * w - 1) <= v < 2 ** (8 * w - 1) for v in values))
 
 
-@given(DECODED_VALUES)
-@example([])
-@example([2 ** 63 - 1, -2 ** 63])
-@example([0, 2 ** 63])
-@example([-2 ** 63 - 1, 0])
-@example([1, True])
-@example([1, 1.0])
-@example([[1], 2])
-@example({"1": 1})
+def width_edges():
+    """-2**63, 2**63-1, and each side of every width's bounds."""
+    edges = [-2 ** 63, 2 ** 63 - 1]
+    for bits in (7, 15, 31):
+        edges += [2 ** bits - 1, 2 ** bits, -2 ** bits, -2 ** bits - 1]
+    return edges
+
+
+INT64_ARRAYS = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from(width_edges()),
+                        max_size=30).map(lambda v: np.array(v, dtype=np.int64))
+
+
+@given(INT64_ARRAYS)
+@example(np.array([], dtype=np.int64))
+@example(np.array([0, 1, 2, 3], dtype=np.int64))
+@example(np.array(width_edges(), dtype=np.int64))
+@example(np.array([-2 ** 63], dtype=np.int64))
+@example(np.array([2 ** 63 - 1], dtype=np.int64))
+@example(np.array([127, -128], dtype=np.int64))
+@example(np.array([128], dtype=np.int64))
+@example(np.array([-129], dtype=np.int64))
+@example(np.array([32767, -32768], dtype=np.int64))
+@example(np.array([32768], dtype=np.int64))
+@example(np.array([-32769], dtype=np.int64))
+@example(np.array([2 ** 31 - 1, -2 ** 31], dtype=np.int64))
+@example(np.array([2 ** 31], dtype=np.int64))
+@example(np.array([-2 ** 31 - 1], dtype=np.int64))
 @settings(max_examples=400, deadline=None)
-def test_property_int_list_check_matches_per_element_reference(value):
-    assert (netproto._int_array(value) is not None) is reference_is_int_list(value)
+def test_property_array_text_matches_per_element_reference(values):
+    text = array_text(values)
+    # the narrowest width, and each value read back one element at a time
+    assert text[0] == str(reference_width(values.tolist()))
+    assert reference_values(text) == values.tolist()
+    decoded = netproto._int_array(text)
+    assert decoded.dtype == np.int64 and not decoded.flags.writeable
+    assert decoded.tolist() == values.tolist()
 
 
-# sha256 of two lines as json.dumps wrote them before int lists were arrays:
-# the wire's bytes must never change.
+@pytest.mark.parametrize("value", [
+    pytest.param([0, 1, 2, 3], id="json-list"),
+    pytest.param("0AAECAw==", id="width-0"),
+    pytest.param("3AAECAw==", id="width-3"),
+    pytest.param("\u0662AAECAw==", id="arabic-indic-width-2"),
+    pytest.param("", id="empty-string"),
+    pytest.param("1AAEC!w==", id="non-alphabet"),
+    pytest.param("1AAEC\u00e9w==", id="non-ascii"),
+    pytest.param("1AAE CAw==", id="whitespace"),
+    pytest.param("1AAECAw==\n", id="trailing-newline"),
+    pytest.param("1AAECAw", id="missing-padding"),
+    pytest.param("2AAEC", id="three-bytes-at-width-2"),
+    pytest.param("8AAECAw==", id="four-bytes-at-width-8"),
+    pytest.param(7, id="int"),
+    pytest.param(None, id="null"),
+    pytest.param({"1": "AAECAw=="}, id="object"),
+])
+def test_malformed_array_text_is_a_protocol_error(value):
+    assert reference_values(value) is None
+    doc = {"v": PROTOCOL_VERSION, "kind": "PREDICTIONS",
+           "payload": {"participant_id": 0, "labels": value}}
+    with pytest.raises(ProtocolError, match="field 'labels' has the wrong type or range"):
+        decode_line(json.dumps(doc).encode())
+
+
+# sha256 of two lines as protocol 2 writes them. Protocol 1's pins, of the
+# same messages with JSON lists, changed when arrays became array texts; these
+# must not change while the protocol stays at version 2.
 def pinned_labels():
     """1e5 int64 labels of every magnitude: an LCG's values shifted by 0-63."""
     n = 100_000
@@ -240,20 +314,15 @@ def pinned_entries():
             (-7, np.array([2 ** 63 - 1], dtype=np.int64))]
 
 
-PREDICTIONS_SHA = "7e159727520c2492201639a3a5f503b3c8e1553a09d5e84caea90b23fc6d8b3c"
-BUNDLE_SHA = "928c7e477e4f2dcaae9a2fa9f83c37e8c0d3e5fb780de101bfd30a676268a06c"
+PREDICTIONS_SHA = "7bfefdbe414ecf98c43b9280e60f92df7a0a5af9117ca4741466a51453e5b311"
+BUNDLE_SHA = "b42389f02f1d9b7d222d9203568842c4c2a8b82ba9b97c1803239d111c82cf9c"
 
 
 class TestCodec:
-    @pytest.mark.parametrize("as_list", [False, True])
-    def test_encoded_lines_match_the_pinned_bytes(self, as_list):
-        def form(values):
-            return values.tolist() if as_list else values
-
-        predictions = Message("PREDICTIONS", {"participant_id": 3,
-                                              "labels": form(pinned_labels())})
+    def test_encoded_lines_match_the_pinned_bytes(self):
+        predictions = Message("PREDICTIONS", {"participant_id": 3, "labels": pinned_labels()})
         bundle = Message("BUNDLE", {"participant_id": 1, "entries": [
-            {"category": c, "indices": form(i)} for c, i in pinned_entries()]})
+            {"category": c, "indices": i} for c, i in pinned_entries()]})
         assert hashlib.sha256(predictions.encode()).hexdigest() == PREDICTIONS_SHA
         assert hashlib.sha256(bundle.encode()).hexdigest() == BUNDLE_SHA
 
@@ -272,57 +341,19 @@ class TestCodec:
         assert np.array_equal(labels, pinned_labels())
 
     def test_validate_message_leaves_its_input_unchanged(self):
-        doc = {"v": 1, "kind": "BUNDLE", "payload": {"participant_id": 0, "entries": [
-            {"category": 2, "indices": [0, 4]}, {"category": 5, "indices": []}]}}
+        doc = json.loads(wire_line({"v": PROTOCOL_VERSION, "kind": "BUNDLE", "payload": {
+            "participant_id": 0, "entries": [{"category": 2, "indices": [0, 4]},
+                                             {"category": 5, "indices": []}]}}))
         copy = json.loads(json.dumps(doc))
         message = validate_message(doc)
         assert doc == copy
         assert message.payload is not doc["payload"]
-        assert isinstance(doc["payload"]["entries"][0]["indices"], list)
+        assert doc["payload"]["entries"][0]["indices"] == "1AAQ="
 
     def test_arrays_of_other_dtypes_are_not_written(self):
-        with pytest.raises(TypeError):
-            Message("PREDICTIONS", {"participant_id": 0,
-                                    "labels": np.zeros(3, dtype=np.int32)}).encode()
-
-
-def digit_edges():
-    """-2**63, 2**63-1, and +-(10**k), +-(10**k - 1) for k up to 18."""
-    edges = [-2 ** 63, 2 ** 63 - 1]
-    for k in range(19):
-        edges += [10 ** k, -10 ** k, 10 ** k - 1, -(10 ** k - 1)]
-    return edges
-
-
-INT64_ARRAYS = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from(digit_edges()),
-                        max_size=30).map(lambda v: np.array(v, dtype=np.int64))
-# JSON documents with int64 arrays among their values.
-JSON_WITH_ARRAYS = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10)
-    | INT64_ARRAYS,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
-    max_leaves=20)
-
-
-def as_json(value):
-    out = []
-    netproto._write_json(value, out)
-    return b"".join(out)
-
-
-def reference_json(value):
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      default=np.ndarray.tolist).encode()
-
-
-@given(JSON_VALUES | INT64_ARRAYS | JSON_WITH_ARRAYS)
-@example(np.array([], dtype=np.int64))
-@example(np.array(digit_edges(), dtype=np.int64))
-@example({"b": [np.array([-1, 0], dtype=np.int64)], "a": {}, "": []})
-@settings(max_examples=400, deadline=None)
-def test_property_writer_matches_json_dumps(value):
-    assert as_json(value) == reference_json(value)
+        for labels in (np.zeros(3, dtype=np.int32), np.zeros((1, 3), dtype=np.int64)):
+            with pytest.raises(TypeError):
+                Message("PREDICTIONS", {"participant_id": 0, "labels": labels}).encode()
 
 
 INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
@@ -338,7 +369,7 @@ PAYLOADS = {
     "ERROR": st.fixed_dictionaries({"text": st.text(max_size=20)}),
     "BYE": st.just({}),
 }
-MESSAGES = st.one_of(*(st.builds(Message, st.just(kind), payload, INT64)
+MESSAGES = st.one_of(*(st.builds(Message, st.just(kind), payload)
                        for kind, payload in PAYLOADS.items()))
 
 
@@ -416,7 +447,7 @@ class TestLineCap:
         lengths = [len(m.encode()) - 1 for m in (register, predictions, bundle)]
         assert max(lengths) == lengths[2] <= line_cap(size) < 2 * 2 ** 20
         # each bundle of test_peer_that_stops_reading_holds_back_no_one: 6.9 MB
-        size = 10 ** 6
+        size = 1_300_000
         all_admitted = Message("BUNDLE", {"participant_id": 0, "entries": [
             {"category": 0, "indices": np.arange(size, dtype=np.int64)},
             {"category": 1, "indices": np.arange(0, dtype=np.int64)}]})
@@ -501,17 +532,17 @@ class TestRound:
         return box["result"].transcript, result.transcript
 
     def test_transcripts_are_pinned(self):
-        # Frozen while transcripts held lists: each entry, without its peer's
-        # ephemeral port, as the --out files write it.
+        # Each entry, without its peer's ephemeral port, as the --out files
+        # write it: re-pinned when protocol 2 made arrays array texts.
         def digest(transcript):
             lines = [json.dumps({"direction": entry["direction"], "message": entry["message"]},
-                                sort_keys=True, default=np.ndarray.tolist) + "\n"
+                                sort_keys=True, default=array_text) + "\n"
                      for entry in transcript]
             return hashlib.sha256("".join(lines).encode()).hexdigest()
 
         served, joined = self.one_participant_transcripts()
-        assert digest(served) == "4f4facfc814de99cda91189b972120b0c92d920305a2210700fc905e3b7ecabe"
-        assert digest(joined) == "f0e8b565362bc98d2f4e37904879196ebdc6de6020c493c460ee021df8e39649"
+        assert digest(served) == "6a25faa318825d5ecd2b7d2d70ec5609efe6d9ec59ce1b4c6244e271dfd0c792"
+        assert digest(joined) == "ff79a6510554b29bb6e52fb4e283c396d3e64ea9f2e9ec4260a3298f2f7c3387"
 
     def test_transcripts_hold_the_wire_arrays(self):
         served, joined = self.one_participant_transcripts()
@@ -526,7 +557,7 @@ class TestRound:
             assert isinstance(values, np.ndarray) and values.dtype == np.int64
             assert not values.flags.writeable
 
-    def test_predictions_go_up_as_python_ints_equal_to_the_votes(self):
+    def test_predictions_go_up_as_the_array_text_of_the_votes(self):
         config = small_config(n=1)
         data = build_round_data(config)
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
@@ -542,8 +573,9 @@ class TestRound:
         [labels] = [json.loads(Message(**entry["message"]).encode())["payload"]["labels"]
                     for entry in result.transcript
                     if entry["message"]["kind"] == "PREDICTIONS"]
-        assert {type(v) for v in labels} == {int}
-        assert labels == votes.tolist()
+        # category ids this small take one byte each
+        assert labels[0] == "1"
+        assert reference_values(labels) == votes.tolist()
 
     def test_transcripts_validate_and_carry_no_floats(self):
         config = small_config(n=1)
@@ -589,13 +621,18 @@ class TestErrors:
         config = small_config(n=1)
         data = build_round_data(config)
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
-        raw = RawClient(address)
-        raw.send({"v": 99, "kind": "REGISTER",
-                  "payload": {"participant_id": 0, "label_space": [0], "train_size": 5}})
-        reply = raw.recv()
-        assert reply["kind"] == "ERROR"
-        assert "version mismatch" in reply["payload"]["text"]
-        raw.close()
+        # a protocol-1 REGISTER, its label space a JSON list, is told the
+        # versions, not that the list is no array text
+        register = {"kind": "REGISTER",
+                    "payload": {"participant_id": 0, "label_space": [0], "train_size": 5}}
+        for v, line in ((99, wire_line({"v": 99, **register})),
+                        (1, json.dumps({"v": 1, **register}).encode() + b"\n")):
+            raw = RawClient(address)
+            raw.send_line(line)
+            assert raw.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR", "payload": {
+                "text": f"protocol version mismatch: this side speaks {PROTOCOL_VERSION}, "
+                        f"the peer sent {v}"}}
+            raw.close()
         # the stray connection was turned away; the participant still completes the round
         join_participant(config, data, 0, address)
         thread.join(timeout=30)
@@ -606,13 +643,13 @@ class TestErrors:
         data = build_round_data(config)
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
         first = RawClient(address)
-        first.send({"v": 1, "kind": "REGISTER",
+        first.send({"v": PROTOCOL_VERSION, "kind": "REGISTER",
                     "payload": {"participant_id": 0, "label_space": [0, 1],
                                 "train_size": 5}})
         ack = first.recv()
         assert ack["kind"] == "REGISTER_ACK"
         dup = RawClient(address)
-        dup.send({"v": 1, "kind": "REGISTER",
+        dup.send({"v": PROTOCOL_VERSION, "kind": "REGISTER",
                   "payload": {"participant_id": 0, "label_space": [0, 1],
                               "train_size": 5}})
         reply = dup.recv()
@@ -620,7 +657,7 @@ class TestErrors:
         assert "already registered" in reply["payload"]["text"]
         dup.close()
         # the original registrant still completes the round
-        first.send({"v": 1, "kind": "PREDICTIONS",
+        first.send({"v": PROTOCOL_VERSION, "kind": "PREDICTIONS",
                     "payload": {"participant_id": 0,
                                 "labels": [0] * len(data.unlabeled)}})
         bundle = first.recv()
@@ -634,11 +671,11 @@ class TestErrors:
         data = build_round_data(config)
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
         raw = RawClient(address)
-        raw.send({"v": 1, "kind": "REGISTER",
+        raw.send({"v": PROTOCOL_VERSION, "kind": "REGISTER",
                   "payload": {"participant_id": 0, "label_space": [0, 1],
                               "train_size": 5}})
         assert raw.recv()["kind"] == "REGISTER_ACK"
-        raw.send({"v": 1, "kind": "PREDICTIONS",
+        raw.send({"v": PROTOCOL_VERSION, "kind": "PREDICTIONS",
                   "payload": {"participant_id": 0,
                               "labels": [7] * len(data.unlabeled)}})
         reply = raw.recv()
@@ -653,11 +690,11 @@ class TestErrors:
         data = build_round_data(config)
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
         raw = RawClient(address)
-        raw.send({"v": 1, "kind": "REGISTER",
+        raw.send({"v": PROTOCOL_VERSION, "kind": "REGISTER",
                   "payload": {"participant_id": 0, "label_space": [0, 1],
                               "train_size": 5}})
         assert raw.recv()["kind"] == "REGISTER_ACK"
-        raw.send({"v": 1, "kind": "PREDICTIONS",
+        raw.send({"v": PROTOCOL_VERSION, "kind": "PREDICTIONS",
                   "payload": {"participant_id": 0, "labels": [0, 1]}})
         reply = raw.recv()
         assert reply["kind"] == "ERROR"
@@ -670,7 +707,7 @@ class TestErrors:
         data = build_round_data(config)
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
         raw = RawClient(address)
-        raw.send({"v": 1, "kind": "REGISTER",
+        raw.send({"v": PROTOCOL_VERSION, "kind": "REGISTER",
                   "payload": {"participant_id": 0, "label_space": [0],
                               "train_size": 0}})
         reply = raw.recv()
@@ -742,7 +779,7 @@ class TestErrors:
         over = RawClient(address)
         reply = over.recv()
         assert time.monotonic() - started < 5
-        assert reply == {"v": 1, "kind": "ERROR", "payload": {
+        assert reply == {"v": PROTOCOL_VERSION, "kind": "ERROR", "payload": {
             "text": "coordinator busy: 4 connections already awaiting REGISTER"}}
         over.close()
         for raw in idle:
@@ -773,7 +810,7 @@ class TestErrors:
         at_cap.send_line(b"x" * cap + b"\n")
         over.send_line(b"x" * (cap + 1))
         assert "could not parse message line" in at_cap.recv()["payload"]["text"]
-        assert over.recv() == {"v": 1, "kind": "ERROR", "payload": {
+        assert over.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR", "payload": {
             "text": f"message line exceeds {cap} bytes"}}
         for raw in (at_cap, over):
             raw.close()
@@ -794,7 +831,7 @@ class TestErrors:
         assert time.monotonic() - joined < 2
         assert box["result"].status == "completed"
         # serve has ended the idle connection's handler: it said why and closed
-        assert idle.recv() == {"v": 1, "kind": "ERROR",
+        assert idle.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR",
                                "payload": {"text": "round already completed"}}
         assert idle.file.readline() == b""
         idle.close()
@@ -857,8 +894,9 @@ def fake_coordinator(public_size, sha, entries, reply=None):
                 "participant_id": pid, "n_participants": 1,
                 "unlabeled_size": public_size, "dataset_sha256": sha}).encode())
             lines.readline()
-            conn.sendall(reply or Message("BUNDLE", {"participant_id": pid,
-                                                     "entries": entries}).encode())
+            conn.sendall(reply or wire_line({"v": PROTOCOL_VERSION, "kind": "BUNDLE",
+                                             "payload": {"participant_id": pid,
+                                                         "entries": entries}}))
             lines.readline()  # until the client closes
 
     thread = threading.Thread(target=serve, daemon=True)
@@ -912,6 +950,34 @@ def test_join_refuses_a_line_over_the_cap():
         listener.close()
 
 
+def test_join_refuses_a_coordinator_of_another_version():
+    config = small_config(n=1)
+    data = build_round_data(config)
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as lines:
+            lines.readline()
+            conn.sendall(Message("REGISTER_ACK", {
+                "participant_id": 0, "n_participants": 1, "unlabeled_size": len(data.unlabeled),
+                "dataset_sha256": array_sha(data.unlabeled)}, v=1).encode())
+            lines.readline()  # until the client closes
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(ProtocolError, match=re.escape(
+                f"protocol version mismatch: this side speaks {PROTOCOL_VERSION}, "
+                f"the peer sent 1")):
+            join_participant(config, data, 0, listener.getsockname()[:2])
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+
+
 @pytest.mark.parametrize("category", [CATEGORY_LIMIT, -1])
 def test_bundle_category_outside_the_bound_is_a_protocol_error(category):
     payload = {"participant_id": 0, "entries": [{"category": category, "indices": [0]}]}
@@ -933,7 +999,7 @@ def test_bundle_index_far_past_the_public_set_is_refused_before_any_table():
 
 def register_raw(address, pid, label_space):
     raw = RawClient(address)
-    raw.send({"v": 1, "kind": "REGISTER",
+    raw.send({"v": PROTOCOL_VERSION, "kind": "REGISTER",
               "payload": {"participant_id": pid, "label_space": label_space,
                           "train_size": 5}})
     assert raw.recv()["kind"] == "REGISTER_ACK"
@@ -941,7 +1007,7 @@ def register_raw(address, pid, label_space):
 
 
 def send_labels(raw, pid, labels):
-    raw.send({"v": 1, "kind": "PREDICTIONS",
+    raw.send({"v": PROTOCOL_VERSION, "kind": "PREDICTIONS",
               "payload": {"participant_id": pid, "labels": labels}})
 
 
@@ -998,7 +1064,7 @@ class TestPromptAborts:
         waiting, failing = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
         send_labels(waiting, 0, [0] * size)
         send_labels(failing, 1, [0] * size)
-        assert failing.recv() == {"v": 1, "kind": "ERROR",
+        assert failing.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR",
                                   "payload": {"text": "RuntimeError: store failed"}}
         reply = waiting.recv()
         assert reply["kind"] == "ERROR"
@@ -1012,7 +1078,11 @@ class TestPromptAborts:
         size, address, thread, box, started = self.start()
         waiting, bad = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
         send_labels(waiting, 0, [0] * size)
-        send_labels(bad, 1, [2 ** 70] + [0] * (size - 1))
+        # 2**70 takes 9 bytes, one more than the widest width holds: at width
+        # 8, 9 + 8 * (size - 1) bytes are no whole number of labels
+        wide = (2 ** 70).to_bytes(9, "little", signed=True) + bytes(8 * (size - 1))
+        bad.send({"v": PROTOCOL_VERSION, "kind": "PREDICTIONS", "payload": {
+            "participant_id": 1, "labels": "8" + base64.b64encode(wide).decode()}})
         reply = bad.recv()
         assert reply["kind"] == "ERROR"
         assert "field 'labels' has the wrong type or range" in reply["payload"]["text"]
@@ -1046,8 +1116,8 @@ class TestPromptAborts:
         send_labels(bad, 1, labels)
         text = ("participant 1 predicted categories [-3, 8, 9, 10, 11] "
                 "outside its declared label space")
-        assert bad.recv() == {"v": 1, "kind": "ERROR", "payload": {"text": text}}
-        assert silent.recv() == {"v": 1, "kind": "ERROR",
+        assert bad.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR", "payload": {"text": text}}
+        assert silent.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR",
                                  "payload": {"text": f"round aborted: {text}"}}
         for raw in (silent, bad):
             raw.close()
@@ -1067,7 +1137,7 @@ class TestPeerFaults:
         send_labels(leaving, 0, [0] * size)
         leaving.close()
         left = time.monotonic()
-        assert waiting.recv() == {"v": 1, "kind": "ERROR", "payload": {
+        assert waiting.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR", "payload": {
             "text": "round aborted: connection closed mid-message"}}
         assert time.monotonic() - left < 1
         waiting.close()
@@ -1083,11 +1153,11 @@ class TestPeerFaults:
             timeout_s=10.0))
         started = time.monotonic()
         stray = RawClient(address)
-        stray.send({"v": 1, "kind": "REGISTER", "payload": {
+        stray.send({"v": PROTOCOL_VERSION, "kind": "REGISTER", "payload": {
             "participant_id": 0,
             "label_space": list(range(CATEGORY_LIMIT - 1)) + [CATEGORY_LIMIT],
             "train_size": 5}})
-        assert stray.recv() == {"v": 1, "kind": "ERROR", "payload": {
+        assert stray.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR", "payload": {
             "text": f"category id {CATEGORY_LIMIT} outside [0, {CATEGORY_LIMIT})"}}
         assert time.monotonic() - started < 1
         stray.close()
@@ -1106,9 +1176,9 @@ class TestPeerFaults:
             n_participants=1, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
             timeout_s=10.0))
         stray = RawClient(address)
-        stray.send({"v": 1, "kind": "REGISTER", "payload": {
+        stray.send({"v": PROTOCOL_VERSION, "kind": "REGISTER", "payload": {
             "participant_id": 0, "label_space": [0] * CATEGORY_LIMIT, "train_size": 5}})
-        assert stray.recv() == {"v": 1, "kind": "ERROR", "payload": {
+        assert stray.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR", "payload": {
             "text": "label space has duplicate categories [0]"}}
         stray.close()
         voter = register_raw(address, 0, [0, 1])
@@ -1121,19 +1191,19 @@ class TestPeerFaults:
     def test_register_longer_than_the_category_bound_is_refused_by_its_length(self):
         # a REGISTER of zeros just under the line cap is refused by its length,
         # before any per-id pass; an error that echoed the whole space, three
-        # bytes an id against the line's two, would exceed the cap
+        # bytes an id against the line's 4/3, would exceed the cap
         size = 60
         coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
             n_participants=1, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
             timeout_s=10.0))
         register = Message("REGISTER", {"participant_id": 0, "train_size": 5,
-                                        "label_space": np.zeros(500_000, dtype=np.int64)})
+                                        "label_space": np.zeros(800_000, dtype=np.int64)})
         line = register.encode()
-        assert line_cap(size) < 1.5 * (len(line) - 1) <= 1.5 * line_cap(size)
+        assert line_cap(size) < 2 * (len(line) - 1) <= 2 * line_cap(size)
         stray = RawClient(address)
         stray.send_line(line)
-        assert stray.recv() == {"v": 1, "kind": "ERROR", "payload": {
-            "text": f"label space has 500000 categories, more than {CATEGORY_LIMIT}"}}
+        assert stray.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR", "payload": {
+            "text": f"label space has 800000 categories, more than {CATEGORY_LIMIT}"}}
         stray.close()
         voter = register_raw(address, 0, [0, 1])
         send_labels(voter, 0, [1] * size)
@@ -1143,9 +1213,9 @@ class TestPeerFaults:
         assert box["result"].status == "completed"
 
     def test_peer_that_stops_reading_holds_back_no_one(self):
-        # each bundle admits all 1e6 indices, about 6.9 MB: more than the
+        # each bundle admits all 1.3e6 indices, about 6.9 MB: more than the
         # socket buffers of a peer that never reads can take
-        size, timeout_s = 10 ** 6, 4.0
+        size, timeout_s = 1_300_000, 4.0
         started = time.monotonic()
         coordinator, address, thread, box = start_coordinator(CoordinatorSettings(
             n_participants=2, alpha=0.3, unlabeled_size=size, dataset_sha256="0" * 64,
@@ -1153,16 +1223,17 @@ class TestPeerFaults:
         deaf = socket.socket()
         deaf.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         deaf.connect(address)
-        for doc in ({"v": 1, "kind": "REGISTER", "payload": {
+        for doc in ({"v": PROTOCOL_VERSION, "kind": "REGISTER", "payload": {
                         "participant_id": 0, "label_space": [0, 1], "train_size": 5}},
-                    {"v": 1, "kind": "PREDICTIONS", "payload": {
+                    {"v": PROTOCOL_VERSION, "kind": "PREDICTIONS", "payload": {
                         "participant_id": 0, "labels": [0] * size}}):
-            deaf.sendall(json.dumps(doc).encode() + b"\n")
+            deaf.sendall(wire_line(doc))
         reader = register_raw(address, 1, [0, 1])
         send_labels(reader, 1, [0] * size)
         bundle = reader.recv()
         assert bundle["kind"] == "BUNDLE"
-        assert len(bundle["payload"]["entries"][0]["indices"]) == size
+        assert bundle["payload"]["entries"][0]["indices"] == array_text(
+            np.arange(size, dtype=np.int64))
         assert time.monotonic() - started < timeout_s - 1
         thread.join(timeout=timeout_s + 5)
         assert not thread.is_alive()
