@@ -272,6 +272,67 @@ def test_property_array_text_matches_per_element_reference(values):
     assert decoded.tolist() == values.tolist()
 
 
+# Everything a JSON decode can hand the array check: array texts, strings
+# near them (other width digits, characters outside the alphabet, bad
+# padding, odd byte counts), int lists, and any other JSON value.
+NEAR_ARRAY_TEXTS = st.text(alphabet="0123456789ABCDEFabcdef+/= \n\u0662\u00e9", max_size=24)
+DECODED_VALUES = st.one_of(
+    INT64_ARRAYS.map(array_text),
+    NEAR_ARRAY_TEXTS,
+    st.builds(lambda digit, text: digit + text[1:],
+              st.sampled_from("0123456789"), INT64_ARRAYS.map(array_text)),
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=8),
+    JSON_VALUES,
+).map(lambda v: json.loads(json.dumps(v)))
+
+
+@given(DECODED_VALUES)
+@example("1")
+@example("1AAECAw==")
+@example("2AAEC")
+@example("8AAECAw==")
+@example("0AAECAw==")
+@example("\u0662AAECAw==")
+@example([0, 1, 2, 3])
+@example({"1": "AAECAw=="})
+@settings(max_examples=400, deadline=None)
+def test_property_int_list_check_matches_per_element_reference(value):
+    decoded = netproto._int_array(value)
+    expected = reference_values(value)
+    assert (decoded is not None) is (expected is not None)
+    if decoded is not None:
+        assert decoded.tolist() == expected
+
+
+def reference_array_text(values):
+    """The array text of ``values``, packed one element at a time with int.to_bytes."""
+    values = values.tolist()
+    width = reference_width(values)
+    raw = b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+    return f"{width}{base64.b64encode(raw).decode('ascii')}"
+
+
+# JSON documents with int64 arrays among their values.
+JSON_WITH_ARRAYS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10)
+    | INT64_ARRAYS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=20)
+
+
+@given(JSON_VALUES | INT64_ARRAYS | JSON_WITH_ARRAYS)
+@example(np.array([], dtype=np.int64))
+@example(np.array(width_edges(), dtype=np.int64))
+@example({"b": [np.array([-1, 0], dtype=np.int64)], "a": {}, "": []})
+@settings(max_examples=400, deadline=None)
+def test_property_writer_matches_json_dumps(value):
+    reference = json.dumps({"v": PROTOCOL_VERSION, "kind": "BYE", "payload": value},
+                           sort_keys=True, separators=(",", ":"),
+                           default=reference_array_text).encode() + b"\n"
+    assert Message("BYE", value).encode() == reference
+
+
 @pytest.mark.parametrize("value", [
     pytest.param([0, 1, 2, 3], id="json-list"),
     pytest.param("0AAECAw==", id="width-0"),
