@@ -73,10 +73,10 @@ class Classifier(ABC):
     def train(self, dataset: LabeledDataset) -> "Classifier":
         if len(dataset) == 0:
             raise LearnerError("cannot train on an empty dataset")
-        outside = np.setdiff1d(dataset.labels, self.classes)
-        if len(outside):
+        outside = _labels_outside(dataset.labels, self.classes)
+        if outside:
             raise LearnerError(
-                f"training labels {outside.tolist()} outside the classifier's label space"
+                f"training labels {outside} outside the classifier's label space"
             )
         self._fit(dataset.features, dataset.labels)
         self.trained = True
@@ -107,6 +107,39 @@ def _standardizer(X: np.ndarray):
     std = X.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
+
+
+def _column_moments(columns: np.ndarray, scratch: np.ndarray, pairwise: bool):
+    """Mean and variance of each row of a ``(d, n)`` array, bit for bit as numpy.
+
+    The results equal ``X.mean(axis=0)`` and ``X.var(axis=0)`` for
+    ``X = columns.T``: numpy's ``_var`` steps (sum / n, x - mean, x * x,
+    sum / n), each sum in numpy's axis-0 order. Numpy sums axis 0 pairwise
+    when it is X's innermost axis (d = 1, or Fortran order), as
+    ``sum(axis=1)`` does here, and otherwise sequentially from +0.0: a row's
+    cumulative sum runs in that order, and adding +0.0 turns an all -0.0
+    row's -0.0 into numpy's +0.0. Each pass runs along a contiguous row
+    instead of across X's d-long rows. ``scratch`` has the shape of
+    ``columns`` and is overwritten.
+    """
+    n = columns.shape[1]
+
+    def total(a):
+        if pairwise:
+            return a.sum(axis=1)
+        return np.cumsum(a, axis=1, out=scratch)[:, -1] + 0.0
+
+    mean = total(columns) / n
+    deviation = np.subtract(columns, mean[:, None], out=scratch)
+    np.multiply(deviation, deviation, out=deviation)
+    return mean, total(deviation) / n
+
+
+def _labels_outside(labels: np.ndarray, classes: np.ndarray) -> list[int]:
+    """The distinct labels not in ``classes``, ascending; sorts only if any."""
+    if np.isin(labels, classes).all():
+        return []
+    return np.setdiff1d(labels, classes).tolist()
 
 
 def _one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
@@ -244,6 +277,12 @@ class KNearestNeighborsClassifier(Classifier):
 class GaussianNaiveBayesClassifier(Classifier):
     """Per-class diagonal Gaussians with a variance floor.
 
+    One stable sort groups each class's rows in dataset order, and
+    ``_column_moments`` gives the floor (``smoothing`` times the largest
+    feature variance) and each class's ``mu`` and ``var`` in a few linear
+    passes, bit for bit as ``X.var(axis=0)`` in X's own layout and
+    ``X[y == c].mean(axis=0)`` and ``.var(axis=0)`` of the C-ordered rows.
+
     A class's score is ``log_prior - 0.5 * sum_j((x_j - mu_j)**2 / var_j +
     log(2 pi var_j))``, summed over features in the order of
     ``_row_sums`` (numpy's row sum of the ``(n, d)`` terms), so scores are
@@ -255,20 +294,35 @@ class GaussianNaiveBayesClassifier(Classifier):
 
     def _fit(self, X, y):
         k = len(self.classes)
-        d = X.shape[1]
+        n, d = X.shape
         self.log_prior = np.full(k, -np.inf)
         self.mu = np.zeros((k, d))
         self.var = np.ones((k, d))
-        self.fitted = np.zeros(k, dtype=bool)
-        floor = self.config.smoothing * max(X.var(axis=0).max(), 1e-12)
-        for idx, c in enumerate(self.classes):
-            rows = X[y == c]
-            if len(rows) == 0:
-                continue
-            self.fitted[idx] = True
-            self.log_prior[idx] = np.log(len(rows) / len(X))
-            self.mu[idx] = rows.mean(axis=0)
-            self.var[idx] = rows.var(axis=0) + floor
+        # Two (d, n) buffers serve every pass: a copy of X's columns and a
+        # scratch, which then takes the columns grouped by class while the
+        # copy becomes the class passes' scratch.
+        columns = X.T.copy()
+        scratch = np.empty_like(columns)
+        axis0_innermost = d == 1 or abs(X.strides[0]) < abs(X.strides[1])
+        spread = _column_moments(columns, scratch, pairwise=axis0_innermost)[1]
+        floor = self.config.smoothing * max(spread.max(), 1e-12)
+        # Labels are category ids below 2^15, so they sort as int16 (a radix
+        # sort); a stable sort keeps each class's rows in dataset order.
+        order = np.argsort(y.astype(np.int16), kind="stable")
+        # order is a permutation, so "clip" clips nothing; unlike "raise" it
+        # writes straight into out
+        grouped = np.take(columns, order, axis=1, out=scratch, mode="clip")
+        counts = np.bincount(y, minlength=self.classes[-1] + 1)[self.classes]
+        self.fitted = counts > 0
+        start = 0
+        for idx, count in enumerate(counts.tolist()):
+            if count:
+                rows = slice(start, start + count)
+                self.mu[idx], var = _column_moments(grouped[:, rows], columns[:, rows],
+                                                    pairwise=d == 1)
+                self.var[idx] = var + floor
+                self.log_prior[idx] = np.log(count / n)
+            start += count
 
     def _scores(self, X):
         # Each term is one pass over a feature of all rows, not a d-long loop
@@ -390,7 +444,7 @@ def materialize_bundle(bundle: PseudolabelBundle, public: UnlabeledDataset) -> L
     labels = np.repeat(np.array([e.category for e in bundle.entries], dtype=np.int64),
                        [len(e) for e in bundle.entries])
     return LabeledDataset(
-        features=public.features[rows],
+        features=np.take(public.features, rows, axis=0),
         labels=labels,
         provenance=f"pseudolabels:{bundle.owner}",
     )
@@ -428,10 +482,10 @@ def evaluate(classifier: Classifier, test: LabeledDataset) -> float:
     """Fraction of test instances the classifier labels correctly."""
     if len(test) == 0:
         raise LearnerError("cannot evaluate on an empty test set")
-    outside = np.setdiff1d(test.labels, classifier.classes)
-    if len(outside):
+    outside = _labels_outside(test.labels, classifier.classes)
+    if outside:
         raise DomainError(
-            f"test labels {outside.tolist()} outside the classifier's label space"
+            f"test labels {outside} outside the classifier's label space"
         )
     predictions = classifier.predict_batch(test.features)
     return float(np.mean(predictions == test.labels))

@@ -20,6 +20,7 @@ from fedcotrain.learners import (
     KNearestNeighborsClassifier,
     LearnerError,
     TrainConfig,
+    _column_moments,
     _row_sums,
     evaluate,
     make_classifier,
@@ -74,6 +75,15 @@ class TestContract:
         data = LabeledDataset(np.zeros((2, 2)), np.array([0, 9]))
         with pytest.raises(LearnerError, match="outside"):
             train_local("gnb", SPACE01, data, TrainConfig())
+
+    def test_label_outside_space_error_names_each_outside_label_once(self):
+        # the check sorts only once it has failed; the text stays sorted and
+        # de-duplicated
+        data = LabeledDataset(np.zeros((4, 2)), np.array([9, 0, 9, -3]))
+        with pytest.raises(LearnerError) as info:
+            train_local("gnb", SPACE01, data, TrainConfig())
+        assert str(info.value) == (
+            "training labels [-3, 9] outside the classifier's label space")
 
     def test_unknown_kind(self):
         with pytest.raises(LearnerError, match="unknown learner kind"):
@@ -282,6 +292,13 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="outside"):
             evaluate(clf, bad)
 
+    def test_test_labels_outside_space_error_names_each_outside_label_once(self):
+        clf = train_local("knn", SPACE01, two_clusters(seed=31), TrainConfig())
+        bad = LabeledDataset(np.zeros((4, 2)), np.array([9, 0, 9, -3]))
+        with pytest.raises(DomainError) as info:
+            evaluate(clf, bad)
+        assert str(info.value) == "test labels [-3, 9] outside the classifier's label space"
+
 
 def array_sha(*arrays):
     digest = hashlib.sha256()
@@ -407,6 +424,96 @@ def test_row_sums_match_numpy_row_sums_at_every_width():
         finite = ~np.isnan(expected)
         assert np.array_equal(np.signbit(got[finite]), np.signbit(expected[finite])), w
         assert not np.signbit(got[0]), w
+
+
+def feature_matrix(rng, n, d, layout, trial):
+    """An (n, d) feature matrix in the given memory layout.
+
+    Column j is of kind (j + trial) % 5, so every width meets every kind:
+    noise at a large offset, a constant, all -0.0, mixed signed zeros, and
+    noise with scattered -0.0.
+    """
+    X = np.empty((n, d))
+    for j in range(d):
+        kind = (j + trial) % 5
+        if kind == 0:
+            X[:, j] = rng.normal(rng.choice([0.0, 1e8, -3e12]), 10.0 ** rng.integers(-3, 4), n)
+        elif kind == 1:
+            X[:, j] = rng.choice([2.75, -1e8 / 3])
+        elif kind == 2:
+            X[:, j] = -0.0
+        elif kind == 3:
+            X[:, j] = rng.choice([-0.0, 0.0], n)
+        else:
+            X[:, j] = rng.normal(0.0, 1.0, n)
+            X[rng.random(n) < 0.3, j] = -0.0
+    if layout == "F":
+        return np.asfortranarray(X)
+    if layout == "view":
+        wide = np.zeros((n, d + 3))
+        wide[:, 1:d + 1] = X
+        return wide[:, 1:d + 1]
+    return X
+
+
+@pytest.mark.parametrize("layout", ["C", "view", "F"])
+def test_column_moments_match_numpy_axis_0_moments(layout):
+    # numpy sums axis 0 sequentially unless it is X's innermost axis (d = 1,
+    # or Fortran order), then pairwise; n on both sides of the pairwise sum's
+    # 8-wide unroll and 128-long blocks. A numpy that sums in another order
+    # fails here instead of changing the GNB fit.
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3, 4, 9):
+        for n in (1, 2, 7, 8, 127, 128, 129, 1000, 100_003):
+            for trial in range(5):
+                X = feature_matrix(rng, n, d, layout, trial)
+                columns = X.T.copy()
+                mean, var = _column_moments(columns, np.empty_like(columns),
+                                            pairwise=d == 1 or layout == "F")
+                # bytes, so zero signs count
+                assert mean.tobytes() == X.mean(axis=0).tobytes(), (d, n, trial)
+                assert var.tobytes() == X.var(axis=0).tobytes(), (d, n, trial)
+                assert columns.tobytes() == X.T.tobytes()
+
+
+def reference_gnb_fit(X, y, classes, smoothing):
+    """The per-class mask-and-copy GNB fit that the column passes replaced."""
+    k, d = len(classes), X.shape[1]
+    log_prior = np.full(k, -np.inf)
+    mu = np.zeros((k, d))
+    var = np.ones((k, d))
+    fitted = np.zeros(k, dtype=bool)
+    floor = smoothing * max(X.var(axis=0).max(), 1e-12)
+    for idx, c in enumerate(classes):
+        rows = X[y == c]
+        if len(rows) == 0:
+            continue
+        fitted[idx] = True
+        log_prior[idx] = np.log(len(rows) / len(X))
+        mu[idx] = rows.mean(axis=0)
+        var[idx] = rows.var(axis=0) + floor
+    return mu, var, log_prior, fitted
+
+
+@pytest.mark.parametrize("layout", ["C", "view", "F"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_gnb_fit_matches_per_class_reference(d, layout):
+    # 1e5 rows with labels in random order; category 6 gets no rows and
+    # category 30 exactly one
+    rng = np.random.default_rng(60 + d)
+    n = 100_000
+    y = rng.choice(np.array([1, 4, 9]), n, p=[0.5, 0.3, 0.2])
+    y[rng.integers(n)] = 30
+    centers = np.zeros(31)
+    centers[[1, 4, 9, 30]] = (-4.0, 0.5, 1e6, 7.0)
+    X = feature_matrix(rng, n, d, layout, trial=0)
+    X += centers[y][:, None]
+    space = LabelSpace((1, 4, 6, 9, 30))
+    clf = make_classifier("gnb", space, TrainConfig(smoothing=1e-4)).train(LabeledDataset(X, y))
+    expected = reference_gnb_fit(X, y, clf.classes, 1e-4)
+    for got, want in zip((clf.mu, clf.var, clf.log_prior, clf.fitted), expected):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def reference_knn_scores(train_X, train_y_idx, n_classes, k, X):

@@ -302,3 +302,17 @@ def test_golden_report_hash_weighted_with_global_conflict_removal():
         fc.default_config(n_participants=4, mode="noniid", master_seed=3, unlabeled_size=500),
         weights=CredibilityWeights((1.0, 0.5, 2.0, 0.25)), global_conflict_removal=True)
     assert report_sha256(config) == GOLDEN_WEIGHTED_SHA256
+
+
+# Pinned before the GNB fit became column passes. No other golden round runs a
+# GNB participant, and at U = 20000 each bundle holds thousands of rows.
+GOLDEN_GNB_SHA256 = "a74fdbb0ab7a18854c317704b964f954f2cfd25a792671c6c46f3a1454198fbb"
+
+
+def test_golden_report_hash_gnb_round():
+    gnb = orch.ParticipantSpec("gnb", orch.DEFAULT_LEARNER_CONFIGS["gnb"])
+    config = dataclasses.replace(
+        fc.default_config(n_participants=4, mode="noniid", master_seed=3, unlabeled_size=20000),
+        participants=(gnb,) * 4, weights=CredibilityWeights((1.0, 0.5, 2.0, 0.25)),
+        global_conflict_removal=True, alpha=0.4)
+    assert report_sha256(config) == GOLDEN_GNB_SHA256
