@@ -20,7 +20,6 @@ from .domain import (
     TaxonomySpec,
     UnlabeledDataset,
     generate_taxonomy,
-    generate_unlabeled,
     load_csv,
     partition,
     save_csv,

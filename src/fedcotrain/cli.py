@@ -330,16 +330,17 @@ def cmd_generate_data(args) -> int:
 
 
 def _read_manifest(data_dir: Path):
-    """Read ``manifest.json``: the round's config and a lookup ``item(k1, k2, ...)``.
+    """Read ``manifest.json``: the round's config and a lookup ``item(k1, k2, ..., kind=t)``.
 
-    A missing item or an invalid config is a config error naming the file and key path.
+    A missing item, an item that is not a ``kind``, or an invalid config is a
+    config error naming the file and key path.
     """
     path = data_dir / "manifest.json"
     if not path.exists():
         raise ConfigError(f"no manifest.json in {data_dir}; run generate-data first")
     manifest = _read_json(path)
 
-    def item(*keys):
+    def item(*keys, kind=object):
         value = manifest
         for n, key in enumerate(keys, 1):
             try:
@@ -347,6 +348,9 @@ def _read_manifest(data_dir: Path):
             except (KeyError, IndexError, TypeError):
                 where = ".".join(map(str, keys[:n]))
                 raise ConfigError(f"{path}: missing key {where!r}") from None
+        if not isinstance(value, kind):
+            where = ".".join(map(str, keys))
+            raise ConfigError(f"{path}: key {where!r} is not a {kind.__name__}")
         return value
 
     return _parse_spec(RunConfig, item("config"), f"{path}: config"), item
@@ -438,7 +442,7 @@ def cmd_analyze(args) -> int:
     out = _resolve_out(args.out, rc)
     result = run_round(rc.federation)
     _emit_report(result.report, out, args.format)
-    analysis = analyze_round(result.artifacts, helper_error=args.helper_error)
+    analysis = analyze_round(result, helper_error=args.helper_error)
     _write_jsonl(out / "analysis.jsonl", analysis.to_records())
     print(f"analysis for {len(analysis.participants)} participants written to "
           f"{out / 'analysis.jsonl'}")
@@ -458,13 +462,13 @@ def cmd_serve(args) -> int:
     rc, manifest = _read_manifest(data_dir)
     net = _with_flag(_with_flag(rc.netproto, "--bind", bind=args.bind),
                      "--timeout", timeout_s=args.timeout)
-    unlabeled_file = data_dir / manifest("unlabeled", "file")
+    unlabeled_file = data_dir / manifest("unlabeled", "file", kind=str)
     if not unlabeled_file.exists():
         raise ConfigError(f"unlabeled dataset {unlabeled_file} is missing")
     settings = CoordinatorSettings(
         n_participants=rc.federation.partition.n_participants,
         alpha=rc.federation.alpha,
-        unlabeled_size=manifest("unlabeled", "size"),
+        unlabeled_size=rc.federation.unlabeled.size,
         dataset_sha256=file_sha256(unlabeled_file),
         weights=rc.federation.weights,
         global_conflict_removal=rc.federation.global_conflict_removal,
@@ -499,10 +503,12 @@ def cmd_join(args) -> int:
     i = args.participant
     if not 0 <= i < len(rc.federation.participants):
         raise ConfigError(f"participant {i} not present in manifest")
-    space = LabelSpace(tuple(manifest("participants", i, "label_space")))
-    train = load_csv(data_dir / manifest("participants", i, "train", "file"), label_space=space)
-    test = load_csv(data_dir / manifest("participants", i, "test", "file"), label_space=space)
-    unlabeled_file = data_dir / manifest("unlabeled", "file")
+    space = LabelSpace(tuple(manifest("participants", i, "label_space", kind=list)))
+    train = load_csv(data_dir / manifest("participants", i, "train", "file", kind=str),
+                     label_space=space)
+    test = load_csv(data_dir / manifest("participants", i, "test", "file", kind=str),
+                    label_space=space)
+    unlabeled_file = data_dir / manifest("unlabeled", "file", kind=str)
     public = load_csv(unlabeled_file)
     result = netproto_join(
         _parse_bind(args.addr),

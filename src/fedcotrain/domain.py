@@ -108,7 +108,6 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    provenance: str = "synthetic"
     source_rows: np.ndarray | None = None
 
     def __post_init__(self):
@@ -368,7 +367,6 @@ def partition(pool: Pool, taxonomy: SubclassTaxonomy, spec: PartitionSpec,
         train = LabeledDataset(
             features=pool.features[rows],
             labels=pool.superclass_labels[rows],
-            provenance=f"participant:{i}",
             source_rows=rows,
         )
         shards.append(ParticipantShard(
@@ -404,13 +402,12 @@ def draw_test_rows(pool: Pool, taxonomy: SubclassTaxonomy, per_superclass: int,
 
 
 def test_set_for(pool: Pool, label_space: LabelSpace,
-                 test_rows: dict[int, np.ndarray], participant: int) -> LabeledDataset:
+                 test_rows: dict[int, np.ndarray]) -> LabeledDataset:
     """Concatenate the shared per-superclass test rows for one participant."""
     rows = np.concatenate([test_rows[s] for s in sorted(label_space)])
     return LabeledDataset(
         features=pool.features[rows],
         labels=pool.superclass_labels[rows],
-        provenance=f"test:{participant}",
         source_rows=rows,
     )
 
@@ -456,18 +453,6 @@ def held_out_unlabeled(taxonomy: SubclassTaxonomy, used_subclasses, size: int,
     return UnlabeledDataset(means + noise * taxonomy.instance_noise)
 
 
-def generate_unlabeled(source, size: int, strategy: str, seed: int, *,
-                       margin: float = 0.25, used_subclasses=None) -> UnlabeledDataset:
-    """Dispatch to the configured public-dataset construction strategy."""
-    if strategy == "uniform_random":
-        return uniform_random_unlabeled(source, size, seed, margin=margin)
-    if strategy == "held_out_subclasses":
-        if used_subclasses is None:
-            raise DomainError("held_out_subclasses strategy requires used_subclasses")
-        return held_out_unlabeled(source, used_subclasses, size, seed)
-    raise DomainError(f"unknown unlabeled strategy {strategy!r}")
-
-
 # ---------------------------------------------------------------------------
 # CSV I/O
 #
@@ -507,9 +492,10 @@ def _parse_cell(text: str, line_no: int, col: int) -> float:
 def load_csv(path, label_space: LabelSpace | None = None) -> LabeledDataset | UnlabeledDataset:
     """Load a dataset in the format ``save_csv`` writes.
 
-    The first row is the header, so it must have a cell that is not a number.
-    The file is labeled when the header's last column is "label"; with
-    ``label_space`` given, every label is checked against it.
+    The first row is the header, so it must have a cell that is not a number,
+    and every data row has as many cells as it. The file is labeled when the
+    header's last column is "label"; with ``label_space`` given, every label is
+    checked against it.
     """
     path = Path(path)
     rows = [ln.split(",") for ln in path.read_text(encoding="utf-8").splitlines()
@@ -530,7 +516,7 @@ def load_csv(path, label_space: LabelSpace | None = None) -> LabeledDataset | Un
     data_rows = rows[1:]
     if not data_rows:
         raise DomainError(f"{path}: no data rows")
-    width = len(data_rows[0])
+    width = len(rows[0])
     if labeled and width < 2:
         raise DomainError(f"{path}: labeled file needs at least one feature column")
 
@@ -562,5 +548,5 @@ def load_csv(path, label_space: LabelSpace | None = None) -> LabeledDataset | Un
 
     if labeled:
         return LabeledDataset(np.array(features, dtype=np.float64),
-                              np.array(labels, dtype=np.int64), provenance=f"file:{path.name}")
+                              np.array(labels, dtype=np.int64))
     return UnlabeledDataset(np.array(features, dtype=np.float64))

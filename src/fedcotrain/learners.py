@@ -63,7 +63,6 @@ class Classifier(ABC):
     kind: str = "abstract"
 
     def __init__(self, label_space: LabelSpace, config: TrainConfig):
-        self.label_space = label_space
         self.config = config
         # Ascending class order makes argmax tie-breaking resolve to the
         # lowest category id.
@@ -443,11 +442,7 @@ def materialize_bundle(bundle: PseudolabelBundle, public: UnlabeledDataset) -> L
                            f"dataset of size {len(public)}")
     labels = np.repeat(np.array([e.category for e in bundle.entries], dtype=np.int64),
                        [len(e) for e in bundle.entries])
-    return LabeledDataset(
-        features=np.take(public.features, rows, axis=0),
-        labels=labels,
-        provenance=f"pseudolabels:{bundle.owner}",
-    )
+    return LabeledDataset(features=np.take(public.features, rows, axis=0), labels=labels)
 
 
 def update_train(kind: str, label_space: LabelSpace, local: LabeledDataset,
@@ -464,7 +459,6 @@ def update_train(kind: str, label_space: LabelSpace, local: LabeledDataset,
         combined = LabeledDataset(
             features=np.vstack([local.features, pseudo.features]),
             labels=np.concatenate([local.labels, pseudo.labels]),
-            provenance=f"combined:{bundle.owner}",
         )
     else:
         combined = local

@@ -52,9 +52,10 @@ from .domain import (
     UnlabeledDataset,
     draw_test_rows,
     generate_taxonomy,
-    generate_unlabeled,
+    held_out_unlabeled,
     partition,
     test_set_for,
+    uniform_random_unlabeled,
 )
 from .learners import (
     LEARNER_KINDS,
@@ -233,18 +234,14 @@ def build_round_data(config: FederationConfig) -> RoundData:
     shards = partition(pool, taxonomy,
                        replace(config.partition, seed=derive_seed(master, "partition")),
                        exclude_rows=reserved)
-    test_sets = [test_set_for(pool, shard.label_space, test_rows, shard.participant)
-                 for shard in shards]
+    test_sets = [test_set_for(pool, shard.label_space, test_rows) for shard in shards]
     used = sorted({int(s) for shard in shards
                    for s in pool.subclass_labels[shard.train.source_rows]})
-    unlabeled = generate_unlabeled(
-        pool if config.unlabeled.strategy == "uniform_random" else taxonomy,
-        config.unlabeled.size,
-        config.unlabeled.strategy,
-        derive_seed(master, "unlabeled"),
-        margin=config.unlabeled.margin,
-        used_subclasses=used,
-    )
+    spec, seed = config.unlabeled, derive_seed(master, "unlabeled")
+    if spec.strategy == "uniform_random":
+        unlabeled = uniform_random_unlabeled(pool, spec.size, seed, margin=spec.margin)
+    else:
+        unlabeled = held_out_unlabeled(taxonomy, used, spec.size, seed)
     return RoundData(pool=pool, taxonomy=taxonomy, shards=shards, test_sets=test_sets,
                      test_rows=test_rows, unlabeled=unlabeled,
                      used_subclasses=tuple(used))
@@ -360,25 +357,15 @@ class RoundReport:
 
 @dataclass
 class RoundArtifacts:
-    """Everything needed to audit or analyze a finished round."""
+    """What a finished round holds beside its report. With the report (see
+    ``RoundResult``), it is everything needed to audit or analyze the round."""
 
     config: FederationConfig
     data: RoundData
-    label_spaces: list[LabelSpace]
     predictions: np.ndarray
     pseudo_sets: dict[int, PseudolabelSet]
     bundles: list[PseudolabelBundle]
     federated_classifiers: list[Classifier]
-    local_accuracies: list[float]
-    federated_accuracies: list[float]
-
-    @property
-    def unlabeled(self) -> UnlabeledDataset:
-        return self.data.unlabeled
-
-    @property
-    def train_sizes(self) -> list[int]:
-        return [len(s.train) for s in self.data.shards]
 
 
 @dataclass
@@ -515,13 +502,10 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
     artifacts = RoundArtifacts(
         config=config,
         data=data,
-        label_spaces=spaces,
         predictions=prep.predictions,
         pseudo_sets=pseudo_sets,
         bundles=bundles,
         federated_classifiers=[clf for clf, _ in federated],
-        local_accuracies=[acc for _, acc in prep.baselines],
-        federated_accuracies=[acc for _, acc in federated],
     )
     return RoundResult(report=report, artifacts=artifacts)
 

@@ -141,51 +141,48 @@ def _clip_error(value: float) -> float:
     return min(max(value, _EPS), 0.5 - _EPS)
 
 
-def analyze_round(artifacts, helper_error: float | None = None) -> RoundAnalysis:
-    """Descriptive bound arithmetic over a finished round's artifacts.
+def analyze_round(result, helper_error: float | None = None) -> RoundAnalysis:
+    """Descriptive bound arithmetic over a finished round's ``RoundResult``.
 
-    Per participant, measures the base error as one minus the retrained local
-    baseline's test accuracy and the helper disagreement as the fraction of
-    bundled public instances where the federated model departs from its
-    bundle's labels. ``helper_error`` defaults to the mean measured base error
-    across participants, standing in for the unobservable ensemble error.
+    Per participant, takes the labeled size and the retrained local baseline's
+    test accuracy from the report, with one minus that accuracy as the base
+    error, and measures the helper disagreement as the fraction of bundled
+    public instances where the federated model departs from its bundle's
+    labels. ``helper_error`` defaults to the mean base error across
+    participants, standing in for the unobservable ensemble error.
     """
-    if artifacts is None:
-        raise TheoryError("round artifacts are required for analysis")
-    n = len(artifacts.bundles)
-    local_errors = [1.0 - acc for acc in artifacts.local_accuracies]
+    if result is None:
+        raise TheoryError("a finished round's result is required for analysis")
+    artifacts = result.artifacts
+    reports = result.report.participants
+    n = len(reports)
+    local_errors = [1.0 - p.local_accuracy for p in reports]
     if helper_error is None:
         helper_error = float(np.mean(local_errors))
     helper_error = _clip_error(helper_error)
 
     participants = []
-    for i in range(n):
-        bundle = artifacts.bundles[i]
+    for p, error, bundle, federated in zip(reports, local_errors, artifacts.bundles,
+                                           artifacts.federated_classifiers):
         pseudo_size = len(bundle)
         if pseudo_size > 0:
-            pseudo = materialize_bundle(bundle, artifacts.unlabeled)
-            fed_preds = artifacts.federated_classifiers[i].predict_batch(pseudo.features)
-            disagreement = prediction_disagreement(fed_preds, pseudo.labels)
+            pseudo = materialize_bundle(bundle, artifacts.data.unlabeled)
+            disagreement = prediction_disagreement(federated.predict_batch(pseudo.features),
+                                                   pseudo.labels)
         else:
             disagreement = 0.0
         params = TheoryParams(
-            labeled_size=artifacts.train_sizes[i],
+            labeled_size=p.train_size,
             pseudo_size=pseudo_size,
-            base_error=_clip_error(local_errors[i]),
+            base_error=_clip_error(error),
             helper_error=helper_error,
             helper_disagreement=disagreement,
         )
-        budget = (labeled_risk_budget(pseudo_size, helper_error)
-                  if pseudo_size > 0 else None)
         participants.append(ParticipantAnalysis(
-            participant=i,
-            labeled_size=params.labeled_size,
-            pseudo_size=pseudo_size,
-            base_error=params.base_error,
-            helper_error=helper_error,
-            helper_disagreement=disagreement,
+            participant=p.participant,
+            **asdict(params),
             retrained_bound=retrained_error_bound(params),
-            budget=budget,
+            budget=labeled_risk_budget(pseudo_size, helper_error) if pseudo_size > 0 else None,
             condition_holds=guarantee_condition_holds(params),
         ))
 

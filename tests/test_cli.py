@@ -567,6 +567,56 @@ class TestServeJoin:
         assert (f"config error: {path}: config.taxonomy: unknown key 'bogus'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, where", [
+        ("join", "participants.0.label_space"),
+        ("join", "participants.0.train.file"),
+        ("join", "participants.0.test.file"),
+        ("join", "unlabeled.file"),
+        ("serve", "unlabeled.file"),
+    ])
+    def test_manifest_value_of_the_wrong_type_is_config_error(self, config_path, tmp_path,
+                                                             capsys, command, where):
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(config_path), "--out", str(data_dir)])
+        path = data_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        *parents, last = [int(k) if k.isdigit() else k for k in where.split(".")]
+        entry = manifest
+        for key in parents:
+            entry = entry[key]
+        entry[last] = 5
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        code = main([command, *WIRE_ARGS[command][2:], "--data", str(data_dir),
+                     "--timeout", "1"])
+        assert code == EXIT_CONFIG
+        kind = "list" if last == "label_space" else "str"
+        assert (f"config error: {path}: key {where!r} is not a {kind}"
+                in capsys.readouterr().err)
+
+    def test_serve_takes_the_public_set_size_from_the_config(self, tmp_path):
+        # U in the manifest's "unlabeled" section is a copy written for readers;
+        # serve reads it from the config, so a mistyped copy changes nothing
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(n=1)), encoding="utf-8")
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(config_path), "--out", str(data_dir)])
+        path = data_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["unlabeled"]["size"] = str(manifest["unlabeled"]["size"])
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        port = free_port()
+        codes = {}
+        server = threading.Thread(target=lambda: codes.setdefault("serve", main([
+            "serve", "--data", str(data_dir), "--bind", f"127.0.0.1:{port}",
+            "--timeout", "30"])), daemon=True)
+        server.start()
+        time.sleep(0.4)
+        codes["join"] = main(["join", "--data", str(data_dir), "--participant", "0",
+                              "--addr", f"127.0.0.1:{port}", "--timeout", "30"])
+        server.join(timeout=60)
+        assert codes == {"serve": EXIT_OK, "join": EXIT_OK}
+
     def test_join_rejects_a_label_space_that_is_not_integers(self, config_path, tmp_path,
                                                              capsys):
         # the first id plus 0.5 would truncate to a category the shard has,

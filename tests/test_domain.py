@@ -15,7 +15,6 @@ from fedcotrain.domain import (
     UnlabeledDataset,
     draw_test_rows,
     generate_taxonomy,
-    generate_unlabeled,
     held_out_unlabeled,
     load_csv,
     partition,
@@ -210,7 +209,7 @@ class TestPartition:
     def test_noniid_disjoint_owned_subclasses_give_disjoint_draws(self):
         # Seed chosen so two participants share a superclass while owning
         # disjoint subclass sets; their instances must come from disjoint
-        # subclasses, checked through provenance tags.
+        # subclasses, checked through their source rows' subclass labels.
         spec = small_spec(n_superclasses=2, subclasses_per_superclass=4,
                           instances_per_subclass=100)
         pool, taxonomy = generate_taxonomy(spec, seed=3)
@@ -316,18 +315,6 @@ class TestUnlabeled:
             held_out_unlabeled(taxonomy, used_subclasses=range(taxonomy.n_subclasses),
                                size=10, seed=0)
 
-    def test_dispatcher(self):
-        pool, taxonomy = generate_taxonomy(small_spec(), seed=5)
-        a = generate_unlabeled(pool, 20, "uniform_random", seed=1)
-        assert len(a) == 20
-        b = generate_unlabeled(taxonomy, 20, "held_out_subclasses", seed=1,
-                               used_subclasses=[0])
-        assert len(b) == 20
-        with pytest.raises(DomainError):
-            generate_unlabeled(pool, 20, "no_such_strategy", seed=1)
-        with pytest.raises(DomainError):
-            generate_unlabeled(taxonomy, 20, "held_out_subclasses", seed=1)
-
 
 _PROPERTY_POOL, _PROPERTY_TAXONOMY = generate_taxonomy(
     small_spec(n_superclasses=5, subclasses_per_superclass=3,
@@ -417,6 +404,17 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n1.5,1\n", encoding="utf-8")
         with pytest.raises(DomainError, match="line 3"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text, cells, width", [
+        ("f0,f1,label\n0.5,1\n0.25,0\n", 2, 3),  # every row a cell short of the header
+        ("f0,f1\n1.0,2.0,3.0\n", 3, 2),
+    ])
+    def test_rows_are_checked_against_the_header_width(self, tmp_path, text, cells, width):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DomainError,
+                           match=f"line 2: ragged row with {cells} cells, expected {width}"):
             load_csv(path)
 
     def test_non_numeric_cell_names_position(self, tmp_path):

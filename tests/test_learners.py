@@ -209,7 +209,6 @@ class TestUpdateTrain:
         data = materialize_bundle(bundle, public)
         assert data.labels.tolist() == [0, 1, 1]
         assert np.array_equal(data.features[0], public.features[4])
-        assert data.provenance == "pseudolabels:2"
 
     def test_materialize_names_first_out_of_range_index_in_bundle_order(self):
         public = UnlabeledDataset(np.zeros((5, 2)))

@@ -565,7 +565,8 @@ class TestRound:
             for i, bundle in box["result"].bundles.items():
                 assert bundle == in_process.artifacts.bundles[i]
             served = box["result"]
-            assert served.label_spaces == in_process.artifacts.label_spaces
+            assert served.label_spaces == [shard.label_space
+                                           for shard in in_process.artifacts.data.shards]
             assert (orch.category_reports(served.pseudo_sets, served.label_spaces)
                     == in_process.report.categories)
         assert all(len(r.bundle) == 0 and r.federated_accuracy == r.local_accuracy

@@ -77,7 +77,7 @@ class TestRunRound:
     def test_audit_membership_certificate(self):
         result = run_round(small_config(alpha=0.4))
         artifacts = result.artifacts
-        spaces = artifacts.label_spaces
+        spaces = [shard.label_space for shard in artifacts.data.shards]
         for bundle in artifacts.bundles:
             for entry in bundle.entries:
                 owners = sum(1 for s in spaces if entry.category in s)

@@ -165,9 +165,8 @@ class TestAnalyzeRound:
 
     def test_alpha_one_degenerates_to_base_error(self):
         result = fc.run_round(self.small_config(alpha=1.0))
-        analysis = analyze_round(result.artifacts)
-        for entry, local_acc in zip(analysis.participants,
-                                    result.artifacts.local_accuracies):
+        analysis = analyze_round(result)
+        for entry in analysis.participants:
             assert entry.pseudo_size == 0
             assert entry.budget is None
             assert not entry.condition_holds
@@ -177,7 +176,7 @@ class TestAnalyzeRound:
         result = fc.run_round(self.small_config(alpha=0.3))
         artifacts = result.artifacts
         artifacts.predictions = np.vstack([artifacts.predictions[0]] * 4)
-        analysis = analyze_round(artifacts)
+        analysis = analyze_round(result)
         matrix = np.array(analysis.pairwise_disagreement)
         assert matrix.shape == (4, 4)
         assert np.all(matrix == 0.0)
@@ -185,7 +184,7 @@ class TestAnalyzeRound:
     def test_values_match_recomputation_from_artifacts(self):
         result = fc.run_round(self.small_config(alpha=0.3))
         artifacts = result.artifacts
-        analysis = analyze_round(artifacts, helper_error=0.25)
+        analysis = analyze_round(result, helper_error=0.25)
         for i, entry in enumerate(analysis.participants):
             bundle = artifacts.bundles[i]
             assert entry.pseudo_size == len(bundle)
@@ -196,7 +195,7 @@ class TestAnalyzeRound:
                 labels.extend([e.category] * len(e.indices))
             if rows:
                 fed_preds = artifacts.federated_classifiers[i].predict_batch(
-                    artifacts.unlabeled.features[np.array(rows)])
+                    artifacts.data.unlabeled.features[np.array(rows)])
                 expected_d = float(np.mean(fed_preds != np.array(labels)))
                 assert entry.helper_disagreement == expected_d
             expected_bound = max(
