@@ -12,14 +12,17 @@ connection's address, so it depends on timing. Each transcript line holds
 its message as the wire carries it, every int array as its array text, so
 each line passes ``netproto.validate_message``.
 
-The document schema is derived from the dataclasses the document builds:
-every field is a key, required when the field has no default and checked
-against the field's annotation, and each class's ``__post_init__`` keeps its
-range checks. ``canonical_config`` writes the same fields back out. No line
-length is a setting: ``netproto.line_cap`` derives it from the public set.
+The document is exactly ``FederationConfig``'s canonical form. Its schema is
+derived from the dataclasses the document builds: every field is a key,
+required when the field has no default and checked against the field's
+annotation, and each class's ``__post_init__`` keeps its range checks.
+``canonical_config`` writes the same fields back out. No line length is a
+setting: ``netproto.line_cap`` derives it from the public set.
 
-``serve`` and ``join`` read their config, master seed applied, from the manifest
-they serve; ``serve --bind`` and ``--timeout`` override its ``netproto`` section.
+What is not the federation is a flag, with no second source: ``--out``
+(default ``runs``), the sweeps' ``--alphas`` and ``--sizes``, and ``serve
+--bind`` and ``--timeout``. ``serve`` and ``join`` read their config, master
+seed applied, from the manifest they serve.
 
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 protocol error.
 """
@@ -29,10 +32,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import types
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -75,11 +77,6 @@ class ConfigError(ValueError):
     """Schema violation in a run-config document."""
 
 
-# Field metadata. INLINE: the field's own keys sit in the enclosing mapping.
-# OMIT_IF_NONE: the canonical form leaves the key out while it is unset.
-INLINE = {"inline": True}
-OMIT_IF_NONE = {"omit_if_none": True}
-
 # Seeds are no keys: every seed derives from master_seed.
 DERIVED_FIELDS = ("seed",)
 
@@ -88,50 +85,10 @@ _LEAVES = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
 _SPEC_ERRORS = (ConfigError, DomainError, LearnerError, AggregationError)
 
 
-@dataclass(frozen=True)
-class NetprotoSpec:
-    """Wire settings ``serve`` and ``join`` read from the config in their manifest.
-
-    ``bind`` and ``timeout_s``, the coordinator's address and round deadline, yield
-    to ``serve --bind`` and ``--timeout``. ``join`` reads neither: it waits ``join
-    --timeout``, ``DEFAULT_CLIENT_TIMEOUT`` (120 s) when the flag is not given.
-    """
-
-    bind: str = "127.0.0.1:0"
-    timeout_s: float = DEFAULT_COORDINATOR_TIMEOUT
-
-    def __post_init__(self):
-        _parse_bind(self.bind)
-        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
-            raise ConfigError(f"timeout_s must be a finite number > 0, got {self.timeout_s}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed run-config document: the federation plus CLI-level settings."""
-
-    federation: FederationConfig = field(metadata=INLINE)
-    output_dir: str | None = field(default=None, metadata=OMIT_IF_NONE)
-    sweep_alphas: tuple[float, ...] | None = field(default=None, metadata=OMIT_IF_NONE)
-    sweep_sizes: tuple[int, ...] | None = field(default=None, metadata=OMIT_IF_NONE)
-    netproto: NetprotoSpec = field(default_factory=NetprotoSpec)
-
-
 def _schema(cls) -> list:
     """``(field, resolved annotation)`` for each field of ``cls`` a document carries."""
     hints = get_type_hints(cls)
     return [(f, hints[f.name]) for f in fields(cls) if f.name not in DERIVED_FIELDS]
-
-
-def _keys(cls) -> dict:
-    """Document key -> whether it is required, for the mapping that builds ``cls``."""
-    keys = {}
-    for f, tp in _schema(cls):
-        if f.metadata.get("inline"):
-            keys.update(_keys(tp))
-        else:
-            keys[f.name] = f.default is MISSING and f.default_factory is MISSING
-    return keys
 
 
 def _is_leaf(value, tp) -> bool:
@@ -178,21 +135,15 @@ def _parse_spec(cls, doc, path: str):
     else:
         if not isinstance(doc, dict):
             raise ConfigError(f"{label}: expected a mapping")
-        keys = _keys(cls)
+        names = {f.name for f, _ in schema}
         for key in doc:
-            if key not in keys:
+            if key not in names:
                 raise ConfigError(f"{label}: unknown key {key!r}")
-        for key, required in keys.items():
-            if required and key not in doc:
-                raise ConfigError(f"{label}: missing required key {key!r}")
-        kwargs = {}
-        for f, tp in schema:
-            if f.metadata.get("inline"):
-                own = _keys(tp)
-                kwargs[f.name] = _parse_spec(tp, {k: v for k, v in doc.items() if k in own},
-                                             path)
-            elif f.name in doc:
-                kwargs[f.name] = _parse(doc[f.name], tp, f"{path}.{f.name}" if path else f.name)
+        for f, _ in schema:
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
+                raise ConfigError(f"{label}: missing required key {f.name!r}")
+        kwargs = {f.name: _parse(doc[f.name], tp, f"{path}.{f.name}" if path else f.name)
+                  for f, tp in schema if f.name in doc}
     try:
         return cls(**kwargs)
     except _SPEC_ERRORS as exc:
@@ -205,26 +156,19 @@ def _dump(value):
         schema = _schema(type(value))
         if len(schema) == 1:
             return _dump(getattr(value, schema[0][0].name))
-        doc = {}
-        for f, _ in schema:
-            v = getattr(value, f.name)
-            if f.metadata.get("inline"):
-                doc.update(_dump(v))
-            elif v is not None or not f.metadata.get("omit_if_none"):
-                doc[f.name] = _dump(v)
-        return doc
+        return {f.name: _dump(getattr(value, f.name)) for f, _ in schema}
     if isinstance(value, tuple):
         return [_dump(v) for v in value]
     return value
 
 
-def parse_run_config(doc) -> RunConfig:
-    return _parse_spec(RunConfig, doc, "")
+def parse_run_config(doc) -> FederationConfig:
+    return _parse_spec(FederationConfig, doc, "")
 
 
-def canonical_config(rc: RunConfig) -> dict:
+def canonical_config(config: FederationConfig) -> dict:
     """Fully-expanded canonical form; parsing it reproduces the same config."""
-    return _dump(rc)
+    return _dump(config)
 
 
 def _read_json(path: Path):
@@ -236,11 +180,11 @@ def _read_json(path: Path):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
-def load_run_config(path, seed_override=None) -> RunConfig:
-    rc = parse_run_config(_read_json(Path(path)))
+def load_run_config(path, seed_override=None) -> FederationConfig:
+    config = parse_run_config(_read_json(Path(path)))
     if seed_override is not None:
-        rc = replace(rc, federation=replace(rc.federation, master_seed=int(seed_override)))
-    return rc
+        config = replace(config, master_seed=int(seed_override))
+    return config
 
 
 def _flag_values(text: str) -> list:
@@ -255,21 +199,17 @@ def _flag_values(text: str) -> list:
     return [number(piece) for piece in text.split(",")]
 
 
-def _with_flag(spec, flag: str, **change):
-    """``spec`` with one command-line flag applied, unless it was not given."""
-    if None in change.values():
-        return spec
-    try:
-        return replace(spec, **change)
-    except ConfigError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+def _timeout(seconds: float) -> float:
+    """A ``--timeout`` flag's value, refused unless it is a finite number > 0."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ConfigError(f"--timeout: expected a finite number > 0, got {seconds}")
+    return seconds
 
 
-def _resolve_out(flag_value, rc: RunConfig) -> Path:
-    out = flag_value or rc.output_dir or os.environ.get("FEDCOTRAIN_OUT") or "runs"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _out_dir(path: str) -> Path:
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_jsonl(path: Path, records, default=np.ndarray.tolist) -> None:
@@ -284,10 +224,9 @@ def _without_peer(entries) -> list[dict]:
 
 
 def cmd_generate_data(args) -> int:
-    rc = load_run_config(args.config, args.seed)
-    out = _resolve_out(args.out, rc)
-    fed = rc.federation
-    data = build_round_data(fed)
+    config = load_run_config(args.config, args.seed)
+    out = _out_dir(args.out)
+    data = build_round_data(config)
 
     pool_file = out / "pool.csv"
     save_csv(UnlabeledDataset(data.pool.features), pool_file,
@@ -314,14 +253,14 @@ def cmd_generate_data(args) -> int:
         })
 
     manifest = {
-        "seeds": {name: derive_seed(fed.master_seed, name)
+        "seeds": {name: derive_seed(config.master_seed, name)
                   for name in ("taxonomy", "test", "partition", "unlabeled")},
         "pool": {"file": pool_file.name, "sha256": file_sha256(pool_file),
                  "rows": len(data.pool)},
         "unlabeled": {"file": unlabeled_file.name, "sha256": file_sha256(unlabeled_file),
                       "size": len(data.unlabeled)},
         "participants": participants,
-        "config": canonical_config(rc),
+        "config": canonical_config(config),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                                        encoding="utf-8")
@@ -353,7 +292,7 @@ def _read_manifest(data_dir: Path):
             raise ConfigError(f"{path}: key {where!r} is not a {kind.__name__}")
         return value
 
-    return _parse_spec(RunConfig, item("config"), f"{path}: config"), item
+    return _parse_spec(FederationConfig, item("config"), f"{path}: config"), item
 
 
 def _dump_artifacts(artifacts, out: Path) -> None:
@@ -381,30 +320,25 @@ def _emit_report(report, out: Path, fmt: str) -> None:
 
 
 def cmd_run(args) -> int:
-    rc = load_run_config(args.config, args.seed)
-    out = _resolve_out(args.out, rc)
-    result = run_round(rc.federation)
+    config = load_run_config(args.config, args.seed)
+    out = _out_dir(args.out)
+    result = run_round(config)
     _emit_report(result.report, out, args.format)
     if args.dump_artifacts:
         _dump_artifacts(result.artifacts, out)
     return EXIT_OK
 
 
-def _sweep(args, name: str, key: str, width: int, spec: str, run) -> int:
-    """Rerun the round once per value of the ``--{name}s`` flag or ``sweep_{name}s`` key.
+def _sweep(args, name: str, kind: type, key: str, width: int, spec: str, run) -> int:
+    """Rerun the round once per value of the ``--{name}s`` flag, read as ``kind`` values.
 
     ``run(federation, values)`` returns ``(value, report)`` pairs; each
     record stores its value under ``key``, and the table prints it in a
     column ``width`` wide with format ``spec``.
     """
-    rc = load_run_config(args.config, args.seed)
-    out = _resolve_out(args.out, rc)
-    flag, config_key = f"{name}s", f"sweep_{name}s"
-    text = getattr(args, flag)
-    values = (_parse(_flag_values(text), get_type_hints(RunConfig)[config_key], f"--{flag}")
-              if text else getattr(rc, config_key))
-    if not values:
-        raise ConfigError(f"no {flag}: pass --{flag} or set {config_key} in the config")
+    config = load_run_config(args.config, args.seed)
+    values = _parse(_flag_values(getattr(args, f"{name}s")), tuple[kind, ...], f"--{name}s")
+    out = _out_dir(args.out)
     records = [{
         "record": f"{name}_sweep",
         key: value,
@@ -412,7 +346,7 @@ def _sweep(args, name: str, key: str, width: int, spec: str, run) -> int:
         "mean_local_accuracy": report.mean_local_accuracy,
         "mean_federated_accuracy": report.mean_federated_accuracy,
         "mean_relative_accuracy": report.mean_relative_accuracy,
-    } for value, report in run(rc.federation, list(values))]
+    } for value, report in run(config, list(values))]
     _write_jsonl(out / f"sweep_{name}.jsonl", records)
     lines = [f"{name:>{width}} {'pseudolabels':>13} {'mean_local':>11} "
              f"{'mean_fed':>9} {'mean_ratio':>11}"]
@@ -430,17 +364,17 @@ def _sweep(args, name: str, key: str, width: int, spec: str, run) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    return _sweep(args, "alpha", "alpha", 6, ".3g", sweep_alpha)
+    return _sweep(args, "alpha", float, "alpha", 6, ".3g", sweep_alpha)
 
 
 def cmd_sweep_size(args) -> int:
-    return _sweep(args, "size", "unlabeled_size", 7, "", sweep_unlabeled_size)
+    return _sweep(args, "size", int, "unlabeled_size", 7, "", sweep_unlabeled_size)
 
 
 def cmd_analyze(args) -> int:
-    rc = load_run_config(args.config, args.seed)
-    out = _resolve_out(args.out, rc)
-    result = run_round(rc.federation)
+    config = load_run_config(args.config, args.seed)
+    out = _out_dir(args.out)
+    result = run_round(config)
     _emit_report(result.report, out, args.format)
     analysis = analyze_round(result, helper_error=args.helper_error)
     _write_jsonl(out / "analysis.jsonl", analysis.to_records())
@@ -449,40 +383,42 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _parse_bind(text: str) -> tuple[str, int]:
+def _parse_bind(text: str, flag: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     try:
         return host, int(port)
     except ValueError:
-        raise ConfigError(f"invalid address {text!r}; expected host:port") from None
+        raise ConfigError(f"{flag}: invalid address {text!r}; expected host:port") from None
 
 
 def cmd_serve(args) -> int:
+    host, port = _parse_bind(args.bind, "--bind")
+    timeout_s = _timeout(args.timeout)
     data_dir = Path(args.data)
-    rc, manifest = _read_manifest(data_dir)
-    net = _with_flag(_with_flag(rc.netproto, "--bind", bind=args.bind),
-                     "--timeout", timeout_s=args.timeout)
+    config, manifest = _read_manifest(data_dir)
     unlabeled_file = data_dir / manifest("unlabeled", "file", kind=str)
     if not unlabeled_file.exists():
         raise ConfigError(f"unlabeled dataset {unlabeled_file} is missing")
+    rows = len(load_csv(unlabeled_file))
+    if rows != config.unlabeled.size:
+        raise ConfigError(f"{unlabeled_file} has {rows} rows, but the config's "
+                          f"unlabeled.size is {config.unlabeled.size}")
     settings = CoordinatorSettings(
-        n_participants=rc.federation.partition.n_participants,
-        alpha=rc.federation.alpha,
-        unlabeled_size=rc.federation.unlabeled.size,
+        n_participants=config.partition.n_participants,
+        alpha=config.alpha,
+        unlabeled_size=config.unlabeled.size,
         dataset_sha256=file_sha256(unlabeled_file),
-        weights=rc.federation.weights,
-        global_conflict_removal=rc.federation.global_conflict_removal,
-        timeout_s=net.timeout_s,
+        weights=config.weights,
+        global_conflict_removal=config.global_conflict_removal,
+        timeout_s=timeout_s,
     )
-    host, port = _parse_bind(net.bind)
     coordinator = Coordinator(settings)
     bound = coordinator.bind(host, port)
     print(f"coordinator listening on {bound[0]}:{bound[1]} "
           f"for {settings.n_participants} participants", flush=True)
     result = coordinator.serve()
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args.out)
         transcript = result.transcript
         if result.status == "completed":
             parts = result.participant_transcripts
@@ -497,13 +433,18 @@ def cmd_serve(args) -> int:
 
 
 def cmd_join(args) -> int:
+    addr = _parse_bind(args.addr, "--addr")
+    timeout_s = _timeout(args.timeout)
     data_dir = Path(args.data)
-    rc, manifest = _read_manifest(data_dir)
-    net = _with_flag(rc.netproto, "--timeout", timeout_s=args.timeout)
+    config, manifest = _read_manifest(data_dir)
     i = args.participant
-    if not 0 <= i < len(rc.federation.participants):
+    if not 0 <= i < len(config.participants):
         raise ConfigError(f"participant {i} not present in manifest")
-    space = LabelSpace(tuple(manifest("participants", i, "label_space", kind=list)))
+    try:
+        space = LabelSpace(tuple(manifest("participants", i, "label_space", kind=list)))
+    except DomainError as exc:
+        raise ConfigError(f"{data_dir / 'manifest.json'}: key "
+                          f"'participants.{i}.label_space': {exc}") from None
     train = load_csv(data_dir / manifest("participants", i, "train", "file", kind=str),
                      label_space=space)
     test = load_csv(data_dir / manifest("participants", i, "test", "file", kind=str),
@@ -511,21 +452,20 @@ def cmd_join(args) -> int:
     unlabeled_file = data_dir / manifest("unlabeled", "file", kind=str)
     public = load_csv(unlabeled_file)
     result = netproto_join(
-        _parse_bind(args.addr),
+        addr,
         participant_id=i,
-        kind=rc.federation.participants[i].learner,
+        kind=config.participants[i].learner,
         label_space=space,
         train=train,
         test=test,
         public=public,
         public_sha256=file_sha256(unlabeled_file),
-        config=participant_train_config(rc.federation, i),
-        timeout_s=net.timeout_s,
+        config=participant_train_config(config, i),
+        timeout_s=timeout_s,
     )
     record = result.to_record()
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args.out)
         _write_jsonl(out / f"participant_{i:02d}_report.jsonl", [record])
         _write_jsonl(out / f"participant_{i:02d}_transcript.jsonl",
                      _without_peer(result.transcript), default=array_text)
@@ -543,9 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config output_dir, "
-                            "then $FEDCOTRAIN_OUT, then ./runs)")
+        p.add_argument("--out", default="runs", help="output directory (default: %(default)s)")
 
     def reporting(p):
         common(p)
@@ -563,12 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-alpha", help="rerun the round across vote thresholds")
     reporting(p)
-    p.add_argument("--alphas", default=None, help="comma-separated thresholds")
+    p.add_argument("--alphas", default="0,0.1,0.2,0.3,0.5,0.7,0.9,1",
+                   help="comma-separated thresholds (default: %(default)s)")
     p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("sweep-size", help="rerun the round across public dataset sizes")
     reporting(p)
-    p.add_argument("--sizes", default=None, help="comma-separated sizes")
+    p.add_argument("--sizes", default="100,500,2000,5000",
+                   help="comma-separated sizes (default: %(default)s)")
     p.set_defaults(func=cmd_sweep_size)
 
     p = sub.add_parser("analyze", help="run a round and append the bound analysis")
@@ -579,8 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the coordinator for one distributed round")
     p.add_argument("--data", required=True, help="directory from generate-data")
-    p.add_argument("--bind", default=None, help="host:port to listen on")
-    p.add_argument("--timeout", type=float, default=None, help="straggler timeout seconds")
+    p.add_argument("--bind", default="127.0.0.1:0",
+                   help="host:port to listen on (default: %(default)s)")
+    p.add_argument("--timeout", type=float, default=DEFAULT_COORDINATOR_TIMEOUT,
+                   help="round deadline in seconds (default: %(default)s)")
     p.add_argument("--out", default=None, help="write transcript, bundles, categories here")
     p.set_defaults(func=cmd_serve)
 

@@ -269,8 +269,7 @@ def test_a6_wire_matches_in_process(wire_round):
     assert wire_round["serve_code"] == 0, wire_round["serve_out"]
     assert wire_round["join_codes"] == [0, 0, 0]
 
-    rc = load_run_config(wire_round["config_path"])
-    in_process = run_round(rc.federation)
+    in_process = run_round(load_run_config(wire_round["config_path"]))
 
     served_bundles = (wire_round["tmp"] / "served" / "bundles.jsonl").read_text()
     expected_bundles = "".join(
@@ -308,8 +307,7 @@ def test_a7_privacy_boundary(wire_round):
     assert transcripts, "no messages captured"
 
     # every local feature value, serialized every way the wire could carry it
-    rc = load_run_config(wire_round["config_path"])
-    data = build_round_data(rc.federation)
+    data = build_round_data(load_run_config(wire_round["config_path"]))
     private_values = set()
     for shard in data.shards:
         for v in shard.train.features.ravel():

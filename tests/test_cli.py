@@ -24,7 +24,7 @@ from fedcotrain.cli import (
 from fedcotrain.domain import PartitionSpec
 from fedcotrain.learners import TrainConfig
 from fedcotrain.netproto import PROTOCOL_VERSION
-from fedcotrain.orchestrator import build_round_data
+from fedcotrain.orchestrator import FederationConfig, build_round_data
 from test_netproto import wire_line
 
 
@@ -89,11 +89,11 @@ class TestParser:
 
 class TestConfigParsing:
     def test_round_trip_through_canonical_form(self):
-        rc = parse_run_config(base_config())
-        canon = canonical_config(rc)
-        rc2 = parse_run_config(canon)
-        assert canonical_config(rc2) == canon
-        assert rc2.federation == rc.federation
+        config = parse_run_config(base_config())
+        canon = canonical_config(config)
+        config2 = parse_run_config(canon)
+        assert canonical_config(config2) == canon
+        assert config2 == config
 
     def test_unknown_key_names_path(self):
         doc = base_config()
@@ -102,10 +102,10 @@ class TestConfigParsing:
             parse_run_config(doc)
 
     def test_unknown_top_level_key(self):
-        doc = base_config()
-        doc["extra"] = True
-        with pytest.raises(Exception, match="unknown key 'extra'"):
-            parse_run_config(doc)
+        # where output goes, what a sweep runs and where serve listens are flags
+        for key in ("extra", "netproto", "output_dir", "sweep_alphas", "sweep_sizes"):
+            with pytest.raises(ConfigError, match=f"^config: unknown key '{key}'$"):
+                parse_run_config({**base_config(), key: True})
 
     def test_missing_learner_names_participant(self):
         doc = base_config()
@@ -128,12 +128,10 @@ class TestConfigParsing:
     def test_weights_parsed(self):
         doc = base_config()
         doc["weights"] = [1.0, 2.0, 1.0]
-        rc = parse_run_config(doc)
-        assert rc.federation.weights.values == (1.0, 2.0, 1.0)
+        assert parse_run_config(doc).weights.values == (1.0, 2.0, 1.0)
 
     def test_seed_override(self, config_path):
-        rc = load_run_config(config_path, seed_override=99)
-        assert rc.federation.master_seed == 99
+        assert load_run_config(config_path, seed_override=99).master_seed == 99
 
     def test_example_config_is_its_own_canonical_form(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "example.json"
@@ -146,7 +144,8 @@ class TestConfigParsing:
             f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
         assert set(canon["partition"]) == {
             f.name for f in dataclasses.fields(PartitionSpec)} - {"seed"}
-        assert "output_dir" not in canon and canon["weights"] is None
+        assert set(canon) == {f.name for f in dataclasses.fields(FederationConfig)}
+        assert canon["weights"] is None
 
     def test_participant_seed_is_unknown_key(self):
         doc = base_config()
@@ -160,11 +159,11 @@ class TestConfigParsing:
         assert parse_run_config(doc) == parse_run_config(base_config(mode="noniid"))
 
     @pytest.mark.parametrize("section, key, value, message", [
-        ("netproto", "timeout_s", -1, "netproto: timeout_s must be"),
-        ("netproto", "timeout_s", 0, "netproto: timeout_s must be"),
+        ("partition", "mode", "cluster", "partition: mode must be one of"),
+        ("unlabeled", "size", 0, "unlabeled: unlabeled size must be >= 1"),
         ("taxonomy", "n_superclasses", 2 ** 15 + 1,
          "taxonomy: taxonomy spec field n_superclasses must be <= 32768"),
-        ("netproto", "bind", "localhost", "netproto: invalid address 'localhost'"),
+        ("unlabeled", "strategy", "nearest", "unlabeled: unlabeled strategy must be one of"),
         ("taxonomy", "feature_dim", 2.5, "taxonomy.feature_dim: expected an integer"),
         ("partition", "superclasses_per_participant", [2], "expected a list of 2 integers"),
         ("participants", 2, {"learner": "mlp", "config": {"learning_rate": float("nan")}},
@@ -234,8 +233,7 @@ class TestGenerateData:
         assert main(["generate-data", "--config", str(config_path),
                      "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
-        rc = load_run_config(config_path)
-        data = build_round_data(rc.federation)
+        data = build_round_data(load_run_config(config_path))
         for entry, shard in zip(manifest["participants"], data.shards):
             recorded = {int(k): tuple(v) for k, v in entry["owned_subclasses"].items()}
             assert recorded == shard.owned_subclasses
@@ -299,11 +297,10 @@ class TestRun:
         digest = hashlib.sha256((out / "artifacts.jsonl").read_bytes()).hexdigest()
         assert digest == "e81ce84dacfc4c794cfd0eb5a1fa9f89834f81ac7329f29843129d56233b08f2"
 
-    def test_env_var_out_root(self, config_path, tmp_path, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv("FEDCOTRAIN_OUT", str(target))
+    def test_out_defaults_to_runs(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(config_path)]) == EXIT_OK
-        assert (target / "report.jsonl").exists()
+        assert (tmp_path / "runs" / "report.jsonl").exists()
 
 
 class TestSweeps:
@@ -337,10 +334,11 @@ class TestSweeps:
                    (out / "sweep_size.jsonl").read_text().splitlines()]
         assert [r["unlabeled_size"] for r in records] == [20, 60]
 
-    def test_sweep_without_values_is_config_error(self, config_path, tmp_path, capsys):
-        code = main(["sweep-alpha", "--config", str(config_path),
-                     "--out", str(tmp_path / "s")])
-        assert code == EXIT_CONFIG
+    def test_alpha_sweep_without_values_runs_the_default_alphas(self, config_path, tmp_path):
+        out = tmp_path / "s"
+        assert main(["sweep-alpha", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+        records = [json.loads(l) for l in (out / "sweep_alpha.jsonl").read_text().splitlines()]
+        assert [r["alpha"] for r in records] == [0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0]
 
     @pytest.mark.parametrize("command, doc_values, flags, named", [
         ("sweep-alpha", {"sweep_alphas": ["x"]}, [], "sweep_alphas"),
@@ -357,7 +355,10 @@ class TestSweeps:
         path.write_text(json.dumps({**base_config(), **doc_values}), encoding="utf-8")
         code = main([command, "--config", str(path), "--out", str(tmp_path / "s"), *flags])
         assert code == EXIT_CONFIG
-        assert f"config error: {named}: expected a non-empty list of" in capsys.readouterr().err
+        # the values are flags only: a config that still carries them is refused
+        expected = (f"config error: {named}: expected a non-empty list of" if flags
+                    else f"config error: config: unknown key {named!r}")
+        assert expected in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -525,7 +526,20 @@ class TestServeJoin:
                                                 encoding="utf-8")
         code = main([command[0], "--data", str(tmp_path), *command[1:], "--timeout", timeout])
         assert code == EXIT_CONFIG
-        assert "config error: --timeout: timeout_s must be" in capsys.readouterr().err
+        assert ("config error: --timeout: expected a finite number > 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, flag", [
+        (["serve", "--bind", "localhost"], "--bind"),
+        (["join", "--participant", "0", "--addr", "localhost"], "--addr"),
+    ])
+    def test_bad_address_flag_is_config_error(self, tmp_path, capsys, command, flag):
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": base_config()}),
+                                                encoding="utf-8")
+        code = main([command[0], "--data", str(tmp_path), *command[1:], "--timeout", "1"])
+        assert code == EXIT_CONFIG
+        assert (f"config error: {flag}: invalid address 'localhost'; expected host:port"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", [
         ["serve", "--bind", "127.0.0.1:0", "--timeout", "1"],
@@ -620,21 +634,43 @@ class TestServeJoin:
     def test_join_rejects_a_label_space_that_is_not_integers(self, config_path, tmp_path,
                                                              capsys):
         # the first id plus 0.5 would truncate to a category the shard has,
-        # so the round would run under a label space the manifest does not say
+        # so the round would run under a label space the manifest does not say;
+        # a negative or a repeated id is the same fault in the same file
         data_dir = tmp_path / "data"
         main(["generate-data", "--config", str(config_path), "--out", str(data_dir)])
         path = data_dir / "manifest.json"
         manifest = json.loads(path.read_text())
         first, *rest = manifest["participants"][0]["label_space"]
-        manifest["participants"][0]["label_space"] = [first + 0.5, *rest]
+        for space, cause in (
+                ([first + 0.5, *rest], f"category id {first + 0.5} is not an integer"),
+                ([-1, *rest], "category id -1 outside [0, 32768)"),
+                ([first, first, *rest], f"label space has duplicate categories [{first}]")):
+            manifest["participants"][0]["label_space"] = space
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+            capsys.readouterr()
+            # nothing listens on the port: the error must come before connecting
+            code = main(["join", "--data", str(data_dir),
+                         "--participant", "0", "--addr", f"127.0.0.1:{free_port()}",
+                         "--timeout", "1"])
+            assert code == EXIT_CONFIG
+            assert (f"config error: {path}: key 'participants.0.label_space': {cause}"
+                    in capsys.readouterr().err)
+
+    def test_serve_refuses_a_public_set_of_another_size(self, config_path, tmp_path, capsys):
+        # U = 61 over a 60-row file: refused before binding, naming the file
+        # and both counts, rather than left for the first join to find
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(config_path), "--out", str(data_dir)])
+        path = data_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["unlabeled"]["size"] = 61
         path.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
-        # nothing listens on the port: the error must come before connecting
-        code = main(["join", "--data", str(data_dir),
-                     "--participant", "0", "--addr", f"127.0.0.1:{free_port()}",
+        code = main(["serve", "--data", str(data_dir), "--bind", "127.0.0.1:0",
                      "--timeout", "1"])
-        assert code == EXIT_RUNTIME
-        assert f"category id {first + 0.5} is not an integer" in capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert (f"config error: {data_dir / 'unlabeled.csv'} has 60 rows, but the "
+                f"config's unlabeled.size is 61" in capsys.readouterr().err)
 
     def test_serve_timeout_without_clients_exits_4(self, config_path, tmp_path):
         data_dir = tmp_path / "data"
