@@ -3,14 +3,13 @@
 Configs are JSON documents validated strictly: unknown keys are rejected with
 the offending field path. All outputs (reports, manifests, sweep tables) are
 byte-deterministic functions of the config, so reruns with the same master
-seed produce identical files. That includes the wire round's transcripts:
-``serve --out`` writes a completed round's messages one registered participant
-after another, in participant id order, and neither ``serve`` nor ``join``
-writes a connection's address. An aborted round's ``transcript.jsonl`` is a
-log instead: every message in the order it was sent or read, with its
-connection's address, so it depends on timing. Each transcript line holds
-its message as the wire carries it, every int array as its array text, so
-each line passes ``netproto.validate_message``.
+seed produce identical files. That includes the wire round's transcripts,
+completed or aborted: ``serve --out`` writes each connection's messages, in
+the order it sent or read them, one connection after another, registered
+participants in id order and then every other connection in accept order. No
+transcript holds an address. Each transcript line holds its message as the
+wire carries it, every int array as its array text, so each line passes
+``netproto.validate_message``.
 
 The document is exactly ``FederationConfig``'s canonical form. Its schema is
 derived from the dataclasses the document builds: every field is a key,
@@ -218,11 +217,6 @@ def _write_jsonl(path: Path, records, default=np.ndarray.tolist) -> None:
                             for r in records), encoding="utf-8")
 
 
-def _without_peer(entries) -> list[dict]:
-    """Transcript entries as written: the connection's address left out."""
-    return [{"direction": e["direction"], "message": e["message"]} for e in entries]
-
-
 def cmd_generate_data(args) -> int:
     config = load_run_config(args.config, args.seed)
     out = _out_dir(args.out)
@@ -329,15 +323,23 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep(args, name: str, kind: type, key: str, width: int, spec: str, run) -> int:
+def _sweep(args, name: str, kind: type, key: str, width: int, spec: str, run, vary) -> int:
     """Rerun the round once per value of the ``--{name}s`` flag, read as ``kind`` values.
 
+    ``vary(federation, value)`` builds the spec a value changes, so that its
+    checks refuse the flag's bad values before any training.
     ``run(federation, values)`` returns ``(value, report)`` pairs; each
     record stores its value under ``key``, and the table prints it in a
     column ``width`` wide with format ``spec``.
     """
     config = load_run_config(args.config, args.seed)
-    values = _parse(_flag_values(getattr(args, f"{name}s")), tuple[kind, ...], f"--{name}s")
+    flag = f"--{name}s"
+    values = _parse(_flag_values(getattr(args, f"{name}s")), tuple[kind, ...], flag)
+    for value in values:
+        try:
+            vary(config, value)
+        except DomainError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
     out = _out_dir(args.out)
     records = [{
         "record": f"{name}_sweep",
@@ -364,11 +366,13 @@ def _sweep(args, name: str, kind: type, key: str, width: int, spec: str, run) ->
 
 
 def cmd_sweep_alpha(args) -> int:
-    return _sweep(args, "alpha", float, "alpha", 6, ".3g", sweep_alpha)
+    return _sweep(args, "alpha", float, "alpha", 6, ".3g", sweep_alpha,
+                  lambda config, a: replace(config, alpha=a))
 
 
 def cmd_sweep_size(args) -> int:
-    return _sweep(args, "size", int, "unlabeled_size", 7, "", sweep_unlabeled_size)
+    return _sweep(args, "size", int, "unlabeled_size", 7, "", sweep_unlabeled_size,
+                  lambda config, s: replace(config.unlabeled, size=s))
 
 
 def cmd_analyze(args) -> int:
@@ -419,11 +423,7 @@ def cmd_serve(args) -> int:
     result = coordinator.serve()
     if args.out:
         out = _out_dir(args.out)
-        transcript = result.transcript
-        if result.status == "completed":
-            parts = result.participant_transcripts
-            transcript = _without_peer(entry for i in sorted(parts) for entry in parts[i])
-        _write_jsonl(out / "transcript.jsonl", transcript, default=array_text)
+        _write_jsonl(out / "transcript.jsonl", result.transcript, default=array_text)
         _write_jsonl(out / "bundles.jsonl",
                      [_bundle_record(result.bundles[i]) for i in sorted(result.bundles)])
         categories = category_reports(result.pseudo_sets, result.label_spaces)
@@ -468,7 +468,7 @@ def cmd_join(args) -> int:
         out = _out_dir(args.out)
         _write_jsonl(out / f"participant_{i:02d}_report.jsonl", [record])
         _write_jsonl(out / f"participant_{i:02d}_transcript.jsonl",
-                     _without_peer(result.transcript), default=array_text)
+                     result.transcript, default=array_text)
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 

@@ -498,8 +498,8 @@ def load_csv(path, label_space: LabelSpace | None = None) -> LabeledDataset | Un
     checked against it.
     """
     path = Path(path)
-    rows = [ln.split(",") for ln in path.read_text(encoding="utf-8").splitlines()
-            if ln.strip() != ""]
+    lines = enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+    rows = [(line_no, ln.split(",")) for line_no, ln in lines if ln.strip() != ""]
     if not rows:
         raise DomainError(f"{path}: file is empty")
 
@@ -510,20 +510,20 @@ def load_csv(path, label_space: LabelSpace | None = None) -> LabeledDataset | Un
         except ValueError:
             return False
 
-    if all(_is_number(c) for c in rows[0]):
+    header = rows[0][1]
+    if all(_is_number(c) for c in header):
         raise DomainError(f"{path}: the first row holds only numbers; expected a header row")
-    labeled = rows[0][-1].strip() == "label"
+    labeled = header[-1].strip() == "label"
     data_rows = rows[1:]
     if not data_rows:
         raise DomainError(f"{path}: no data rows")
-    width = len(rows[0])
+    width = len(header)
     if labeled and width < 2:
         raise DomainError(f"{path}: labeled file needs at least one feature column")
 
     features = []
     labels = []
-    for offset, cells in enumerate(data_rows):
-        line_no = 2 + offset
+    for line_no, cells in data_rows:
         if len(cells) != width:
             raise DomainError(
                 f"line {line_no}: ragged row with {len(cells)} cells, expected {width}"

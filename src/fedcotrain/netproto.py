@@ -23,13 +23,13 @@ of the values as little-endian signed integers of that width; ``[0, 1, 2, 3]``
 is ``"1AAECAw=="``. ``Message.encode`` is one ``json.dumps`` whose hook,
 ``array_text``, writes each array, and ``decode_line`` turns each text back
 into an array in one step, so neither side builds a Python int per value. A
-line of another protocol version is refused before its payload is read. A
-transcript records each message's payload as it was sent or decoded, arrays
-included. The coordinator's transcript is in arrival order, and a completed
-round also gives each registered participant's part. Category ids lie in
-``[0, domain.CATEGORY_LIMIT)`` and indices below U, so ``line_cap(U)`` bounds
-every line ``Message.encode`` writes in a legal round over U public rows;
-both sides refuse a longer line with a ProtocolError.
+line of another protocol version is refused before its payload is read. Each
+connection keeps a transcript of each message's payload as it was sent or
+decoded, arrays included; the coordinator's round transcript is its
+connections' one after another, registered participants in id order first.
+Category ids lie in ``[0, domain.CATEGORY_LIMIT)`` and indices below U, so
+``line_cap(U)`` bounds every line ``Message.encode`` writes in a legal round
+over U public rows; both sides refuse a longer line with a ProtocolError.
 
 The coordinator never transmits instances: the public dataset is published
 out-of-band as a file whose content hash rides in REGISTER_ACK so clients can
@@ -47,9 +47,10 @@ one. It aggregates exactly once, after all N prediction vectors arrive, then
 sends each participant only its own bundle, queued until the socket takes it,
 so a peer that stops reading holds back no one else. A straggler timeout, a
 duplicate registration of a live participant id, a malformed line, a
-prediction outside the declared label space, a participant that hangs up, or
-one that has not read its bundle by the deadline aborts or rejects per the
-error contract. At most 2N connections may wait for their REGISTER line at
+prediction outside the declared label space, a participant that hangs up or
+sends an ERROR (``join`` does, naming a public-dataset mismatch), or one that
+has not read its bundle by the deadline aborts or rejects per the error
+contract. At most 2N connections may wait for their REGISTER line at
 once; one more is told so in an ERROR and closed. Once the round is over,
 every connection still open is told so, with the cause, in an ERROR and
 closed, and ``serve`` returns.
@@ -133,7 +134,7 @@ def _int_array(v):
     return values
 
 
-def _entries(v):
+def _bundle_entries(v):
     if not isinstance(v, list):
         return None
     entries = []
@@ -152,7 +153,7 @@ MESSAGE_SCHEMAS = {
     "REGISTER_ACK": {"participant_id": _int, "n_participants": _int,
                      "unlabeled_size": _int, "dataset_sha256": _text},
     "PREDICTIONS": {"participant_id": _int, "labels": _int_array},
-    "BUNDLE": {"participant_id": _int, "entries": _entries},
+    "BUNDLE": {"participant_id": _int, "entries": _bundle_entries},
     "ERROR": {"text": _text},
     "BYE": {},
 }
@@ -264,26 +265,24 @@ def line_cap(unlabeled_size: int) -> int:
 
 
 class MessageStream:
-    """Newline-framed message I/O over one socket, with optional transcript.
+    """Newline-framed message I/O over one socket, and the transcript of what it carried.
 
-    A line longer than ``max_line`` bytes, not counting its newline, is a
+    ``transcript`` holds every message sent or read, in that order, as
+    ``{"direction": "send" or "recv", "message": {v, kind, payload}}``. A line
+    longer than ``max_line`` bytes, not counting its newline, is a
     ProtocolError. Received bytes are scanned for a newline once each.
     """
 
-    def __init__(self, sock: socket.socket, max_line: int,
-                 transcript: list | None = None, peer: str = ""):
+    def __init__(self, sock: socket.socket, max_line: int):
         self.sock = sock
         self.max_line = max_line
         self.buffer = bytearray()
         self.lines: list[bytearray] = []
-        self.transcript = transcript
-        self.peer = peer
+        self.transcript: list[dict] = []
 
     def _record(self, direction: str, message: Message):
-        if self.transcript is not None:
-            self.transcript.append({"direction": direction, "peer": self.peer,
-                                    "message": {"v": message.v, "kind": message.kind,
-                                                "payload": message.payload}})
+        self.transcript.append({"direction": direction, "message": {
+            "v": message.v, "kind": message.kind, "payload": message.payload}})
 
     def send(self, message: Message):
         self._record("send", message)
@@ -339,11 +338,10 @@ class CoordinatorSettings:
 class ServeResult:
     """How the round ended, and what it produced.
 
-    ``transcript`` is every message of the round in the order it was sent or
-    read, each with its connection's address. A completed round also has
-    ``participant_transcripts``: each registered participant's entries, in
-    the order its connection recorded them, and ``label_spaces``, the spaces
-    they registered, in participant id order.
+    ``transcript`` is every connection's transcript, one connection after
+    another: registered participants in id order, then every other connection
+    in the order it was accepted. A completed round also has ``label_spaces``,
+    the spaces the participants registered, in id order.
     """
 
     status: str
@@ -351,7 +349,6 @@ class ServeResult:
     pseudo_sets: dict[int, PseudolabelSet] = field(default_factory=dict)
     label_spaces: list[LabelSpace] = field(default_factory=list)
     transcript: list = field(default_factory=list)
-    participant_transcripts: dict[int, list] = field(default_factory=dict)
 
 
 def entries_payload(sets: Iterable[PseudolabelSet]) -> list[dict]:
@@ -387,22 +384,22 @@ def bundle_from_payload(payload: dict, label_space: LabelSpace,
 
 
 class _Connection(MessageStream):
-    """A coordinator's connection: the message it awaits, and its unsent output.
+    """A coordinator's connection: its participant, the message it awaits, and its unsent output.
 
     ``state`` is "REGISTER", "PREDICTIONS" or "BUNDLE" while the connection is
     in the round, and "DONE" once it is owed nothing but its queued output.
+    ``pid`` and ``space`` are set by its REGISTER, and ``labels`` by its
+    PREDICTIONS.
     """
 
-    def __init__(self, sock: socket.socket, max_line: int, transcript: list, peer: str):
-        super().__init__(sock, max_line, transcript, peer)
+    def __init__(self, sock: socket.socket, max_line: int, peer: str):
+        super().__init__(sock, max_line)
+        self.peer = peer
         self.state = "REGISTER"
         self.pid: int | None = None
+        self.space: LabelSpace | None = None
+        self.labels: np.ndarray | None = None
         self.out = bytearray()
-        self.entries: list = []  # this connection's part of the transcript
-
-    def _record(self, direction: str, message: Message):
-        super()._record(direction, message)
-        self.entries.append(self.transcript[-1])
 
     def queue(self, message: Message):
         self._record("send", message)
@@ -422,21 +419,17 @@ class Coordinator:
     def __init__(self, settings: CoordinatorSettings):
         self.settings = settings
         self.listener: socket.socket | None = None
-        self.address: tuple[str, int] | None = None
-        self._spaces: dict[int, LabelSpace] = {}
-        self._predictions: dict[int, np.ndarray] = {}
+        self._accepted: list[_Connection] = []  # every connection, in accept order
+        self._members: dict[int, _Connection] = {}  # participant id -> its connection
         self._bundles: dict[int, PseudolabelBundle] = {}
         self._pseudo_sets: dict[int, PseudolabelSet] = {}
-        self._entries: dict[int, list] = {}
         self._abort_reason: str | None = None
         self._selector: selectors.BaseSelector | None = None
-        self.transcript: list = []
 
-    def bind(self, host: str = "127.0.0.1", port: int = 0):
+    def bind(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         self.listener = socket.create_server((host, port))
         self.listener.setblocking(False)
-        self.address = self.listener.getsockname()[:2]
-        return self.address
+        return self.listener.getsockname()[:2]
 
     def _connections(self) -> list[_Connection]:
         return [key.data for key in self._selector.get_map().values() if key.data is not None]
@@ -453,8 +446,8 @@ class Coordinator:
             return  # the peer left before it was accepted
         sock.setblocking(False)
         awaiting = sum(conn.state == "REGISTER" for conn in self._connections())
-        conn = _Connection(sock, line_cap(self.settings.unlabeled_size), self.transcript,
-                           peer=f"{addr[0]}:{addr[1]}")
+        conn = _Connection(sock, line_cap(self.settings.unlabeled_size), f"{addr[0]}:{addr[1]}")
+        self._accepted.append(conn)
         self._selector.register(sock, selectors.EVENT_READ, conn)
         # room for every participant at once, and as many strays again
         cap = 2 * self.settings.n_participants
@@ -495,6 +488,8 @@ class Coordinator:
         """Check one message from ``conn`` against the one it awaits, and act on it."""
         conn._record("recv", message)
         n, pid = self.settings.n_participants, conn.pid
+        if message.kind == "ERROR" and pid is not None:  # a participant leaving says why
+            raise ProtocolError(f"participant {pid}: {message.payload['text']}")
         if conn.state == "REGISTER":
             if message.kind != "REGISTER":
                 raise ProtocolError(f"expected REGISTER, got {message.kind}")
@@ -504,11 +499,10 @@ class Coordinator:
             if message.payload["train_size"] < 1:
                 raise ProtocolError(f"participant {pid} registered an empty local dataset")
             space = LabelSpace(tuple(message.payload["label_space"].tolist()))
-            if pid in self._spaces:
+            if pid in self._members:
                 raise ProtocolError(f"participant {pid} is already registered")
-            self._spaces[pid] = space
-            self._entries[pid] = conn.entries
-            conn.pid, conn.state = pid, "PREDICTIONS"
+            self._members[pid] = conn
+            conn.pid, conn.space, conn.state = pid, space, "PREDICTIONS"
             conn.queue(Message("REGISTER_ACK", {
                 "participant_id": pid,
                 "n_participants": n,
@@ -527,28 +521,26 @@ class Coordinator:
             raise ProtocolError(
                 f"prediction vector length {len(labels)} != announced "
                 f"{self.settings.unlabeled_size}")
-        bad = vote_positions(labels, self._spaces[pid]) < 0
+        bad = vote_positions(labels, conn.space) < 0
         if bad.any():
             outside = np.unique(labels[bad])[:5].tolist()
             raise ProtocolError(f"participant {pid} predicted categories {outside} "
                                 f"outside its declared label space")
-        self._predictions[pid] = labels
-        conn.state = "BUNDLE"
-        if len(self._predictions) < n:
+        conn.labels, conn.state = labels, "BUNDLE"
+        if sum(member.labels is not None for member in self._members.values()) < n:
             return
+        members = [self._members[i] for i in range(n)]
         pseudo_sets, bundles = coordinate(
-            [self._predictions[i] for i in range(n)], [self._spaces[i] for i in range(n)],
+            [m.labels for m in members], [m.space for m in members],
             self.settings.alpha, self.settings.unlabeled_size, self.settings.weights,
             self.settings.global_conflict_removal)
         self._pseudo_sets = pseudo_sets
         self._bundles = dict(enumerate(bundles))
-        for waiting in self._connections():
-            if waiting.state == "BUNDLE":
-                waiting.state = "DONE"
-                entries = entries_payload(self._bundles[waiting.pid].entries)
-                waiting.queue(Message("BUNDLE", {"participant_id": waiting.pid,
-                                                 "entries": entries}))
-                waiting.queue(Message("BYE", {}))
+        for member, bundle in zip(members, bundles):
+            member.state = "DONE"
+            member.queue(Message("BUNDLE", {"participant_id": member.pid,
+                                            "entries": entries_payload(bundle.entries)}))
+            member.queue(Message("BYE", {}))
 
     def serve(self) -> ServeResult:
         """Accept connections and run the round to completion or abort, in this thread."""
@@ -596,14 +588,15 @@ class Coordinator:
                 conn.close()
             self._selector.close()
             self.listener.close()
+        # registered participants in id order, then every other connection as accepted
+        order = sorted(self._accepted, key=lambda conn: (conn.pid is None, conn.pid or 0))
+        transcript = [entry for conn in order for entry in conn.transcript]
         if self._abort_reason is not None:
-            return ServeResult(status=f"aborted: {self._abort_reason}",
-                               transcript=self.transcript)
+            return ServeResult(status=f"aborted: {self._abort_reason}", transcript=transcript)
         return ServeResult(status="completed", bundles=dict(self._bundles),
                            pseudo_sets=dict(self._pseudo_sets),
-                           label_spaces=[self._spaces[i] for i in sorted(self._spaces)],
-                           transcript=self.transcript,
-                           participant_transcripts=dict(self._entries))
+                           label_spaces=[self._members[i].space for i in sorted(self._members)],
+                           transcript=transcript)
 
 
 @dataclass(frozen=True, eq=False)
@@ -636,14 +629,12 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
     categories = np.array(label_space.categories, dtype=np.int64)
     categories.flags.writeable = False
 
-    transcript: list = []
     try:
         sock = socket.create_connection(address, timeout=timeout_s)
     except OSError as exc:
         raise ProtocolError(
             f"could not reach coordinator at {address[0]}:{address[1]}: {exc}") from None
-    stream = MessageStream(sock, line_cap(len(public)), transcript,
-                           peer=f"{address[0]}:{address[1]}")
+    stream = MessageStream(sock, line_cap(len(public)))
     try:
         stream.send(Message("REGISTER", {
             "participant_id": participant_id,
@@ -655,15 +646,17 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
             raise ProtocolError(f"coordinator rejected registration: {ack.payload['text']}")
         if ack.kind != "REGISTER_ACK":
             raise ProtocolError(f"expected REGISTER_ACK, got {ack.kind}")
+        mismatch = None
         if ack.payload["unlabeled_size"] != len(public):
-            raise ProtocolError(
-                f"public dataset size mismatch: coordinator announced "
-                f"{ack.payload['unlabeled_size']}, local file has {len(public)}")
-        if ack.payload["dataset_sha256"] != public_sha256:
-            raise ProtocolError(
-                "public dataset hash mismatch: coordinator announced "
-                f"{ack.payload['dataset_sha256'][:12]}..., local file hashes to "
-                f"{public_sha256[:12]}...")
+            mismatch = (f"public dataset size mismatch: coordinator announced "
+                        f"{ack.payload['unlabeled_size']}, local file has {len(public)}")
+        elif ack.payload["dataset_sha256"] != public_sha256:
+            mismatch = ("public dataset hash mismatch: coordinator announced "
+                        f"{ack.payload['dataset_sha256'][:12]}..., local file hashes to "
+                        f"{public_sha256[:12]}...")
+        if mismatch is not None:
+            stream.send(Message("ERROR", {"text": mismatch}))  # so the round names the cause
+            raise ProtocolError(mismatch)
 
         stream.send(Message("PREDICTIONS", {
             "participant_id": participant_id,
@@ -685,7 +678,7 @@ def join(address: tuple[str, int], *, participant_id: int, kind: str,
     return JoinResult(participant=participant_id, learner=kind, train_size=len(train),
                       bundle_size=len(bundle), local_accuracy=baseline[1],
                       federated_accuracy=federated_accuracy, bundle=bundle,
-                      transcript=transcript)
+                      transcript=stream.transcript)
 
 
 def file_sha256(path) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fedcotrain.orchestrator as orch
 from fedcotrain.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -23,9 +24,9 @@ from fedcotrain.cli import (
 )
 from fedcotrain.domain import PartitionSpec
 from fedcotrain.learners import TrainConfig
-from fedcotrain.netproto import PROTOCOL_VERSION
+from fedcotrain.netproto import PROTOCOL_VERSION, Coordinator, array_text
 from fedcotrain.orchestrator import FederationConfig, build_round_data
-from test_netproto import wire_line
+from test_netproto import RawClient, wire_line
 
 
 def base_config(n=3, m=60, seed=2, mode="noniid"):
@@ -360,6 +361,23 @@ class TestSweeps:
                     else f"config error: config: unknown key {named!r}")
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags, cause", [
+        ("sweep-alpha", ["--alphas", "0.3,1.5"], "--alphas: alpha must lie in [0, 1], got 1.5"),
+        ("sweep-size", ["--sizes", "0"], "--sizes: unlabeled size must be >= 1"),
+    ])
+    def test_sweep_values_the_config_refuses_are_config_errors(self, config_path, tmp_path,
+                                                               capsys, monkeypatch, command,
+                                                               flags, cause):
+        # checked as the config checks its own value, before any training
+        def fail(*args):
+            raise AssertionError("the sweep trained before checking its values")
+
+        monkeypatch.setattr(orch, "train_local", fail)
+        code = main([command, "--config", str(config_path), "--out", str(tmp_path / "s"),
+                     *flags])
+        assert code == EXIT_CONFIG
+        assert f"config error: {cause}" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_analysis_written_next_to_report(self, config_path, tmp_path):
@@ -484,6 +502,55 @@ class TestServeJoin:
             digests.append([hashlib.sha256((out / f).read_bytes()).hexdigest()
                             for f in ("transcript.jsonl", "bundles.jsonl")])
         assert digests[0] == digests[1]
+
+    def test_aborted_round_transcript_lists_each_connection_by_participant(
+            self, config_path, tmp_path, monkeypatch):
+        # a connection that never registers, then participant 1, then
+        # participant 0; the round then times out waiting for their votes
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(config_path), "--out", str(data_dir)])
+        spaces = [p["label_space"] for p in
+                  json.loads((data_dir / "manifest.json").read_text())["participants"]]
+        results = []
+        serve = Coordinator.serve
+        monkeypatch.setattr(Coordinator, "serve",
+                            lambda self: results.append(serve(self)) or results[0])
+        port = free_port()
+        code = {}
+        server = threading.Thread(target=lambda: code.setdefault("serve", main([
+            "serve", "--data", str(data_dir), "--bind", f"127.0.0.1:{port}",
+            "--timeout", "1", "--out", str(tmp_path / "served")])), daemon=True)
+        server.start()
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                clients = [RawClient(("127.0.0.1", port))]
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+        for i in (1, 0):
+            clients.append(RawClient(("127.0.0.1", port)))
+            clients[-1].send({"v": PROTOCOL_VERSION, "kind": "REGISTER", "payload": {
+                "participant_id": i, "label_space": spaces[i], "train_size": 8}})
+            assert clients[-1].recv()["kind"] == "REGISTER_ACK"
+        server.join(timeout=30)
+        for raw in clients:
+            raw.close()
+        assert code["serve"] == EXIT_PROTOCOL
+        [result] = results
+        assert result.status == "aborted: timed out waiting for stragglers"
+        transcript = result.transcript
+        # participant 0's messages first, then participant 1's, then the stray's
+        assert [(e["direction"], e["message"]["kind"]) for e in transcript] == \
+            [("recv", "REGISTER"), ("send", "REGISTER_ACK"), ("send", "ERROR")] * 2 \
+            + [("send", "ERROR")]
+        assert [e["message"]["payload"].get("participant_id") for e in transcript] == \
+            [0, 0, None, 1, 1, None, None]
+        assert all(e.keys() == {"direction", "message"} for e in transcript)
+        lines = (tmp_path / "served" / "transcript.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == \
+            [json.loads(json.dumps(e, default=array_text)) for e in transcript]
 
     def test_join_with_wrong_hash_exits_4(self, config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"

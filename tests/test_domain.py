@@ -422,6 +422,13 @@ class TestCsv:
         path.write_text("f0,f1\n1.0,x\n", encoding="utf-8")
         with pytest.raises(DomainError, match="line 2, column 2"):
             load_csv(path)
+        # blank lines are skipped, but still counted
+        path.write_text("f0,label\n\n1.0,0\nx,1\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="line 4, column 1"):
+            load_csv(path)
+        path.write_text("\nf0,f1\n \n1.0,2.0,3.0\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="line 4: ragged row"):
+            load_csv(path)
 
     def test_unlabeled_header_row_count(self, tmp_path):
         path = tmp_path / "u.csv"

@@ -813,9 +813,28 @@ class TestErrors:
         coordinator, address, thread, box = start_coordinator(settings_for(config, data))
         with pytest.raises(ProtocolError, match="hash mismatch"):
             join_participant(config, data, 0, address, sha="0" * 64)
-        # the client hung up after registering: the round ends with that cause
+        # the client told the coordinator why it left: the round ends with that cause
         thread.join(timeout=10)
-        assert box["result"].status == "aborted: connection closed mid-message"
+        assert box["result"].status == (
+            f"aborted: participant 0: public dataset hash mismatch: coordinator announced "
+            f"{array_sha(data.unlabeled)[:12]}..., local file hashes to 000000000000...")
+
+    def test_dataset_mismatch_is_named_to_every_participant(self):
+        # participant 1's public file differs from the coordinator's: the
+        # coordinator and participant 0 learn why, not that the round timed out
+        config = small_config(n=2)
+        data = build_round_data(config)
+        coordinator, address, thread, box = start_coordinator(
+            settings_for(config, data, timeout_s=1.0))
+        waiting = register_raw(address, 0, list(data.shards[0].label_space.categories))
+        with pytest.raises(ProtocolError, match="public dataset hash mismatch"):
+            join_participant(config, data, 1, address, sha="0" * 64)
+        cause = (f"participant 1: public dataset hash mismatch: coordinator announced "
+                 f"{array_sha(data.unlabeled)[:12]}..., local file hashes to 000000000000...")
+        assert waiting.recv()["payload"]["text"] == f"round aborted: {cause}"
+        waiting.close()
+        thread.join(timeout=10)
+        assert box["result"].status == f"aborted: {cause}"
 
     def test_learner_failure_names_participant_before_connecting(self, monkeypatch):
         def fail(*args):
@@ -1107,14 +1126,15 @@ class TestPromptAborts:
         assert "zero credibility weight" in box["result"].status
 
     def test_unexpected_handler_error_reaches_every_participant(self, monkeypatch):
-        # A defect in a handler step (here: storing participant 1's
-        # predictions) ends the round with its real cause instead of killing
-        # the handler thread and leaving the others to time out.
-        class FailingStore(dict):
-            def __setitem__(self, pid, labels):
-                if pid == 1:
-                    raise RuntimeError("store failed")
-                super().__setitem__(pid, labels)
+        # A defect in a handler step (here: checking participant 1's votes,
+        # told apart by being all 1s) ends the round with its real cause
+        # instead of killing the handler thread and leaving the others to time out.
+        check = netproto.vote_positions
+
+        def failing_check(labels, space):
+            if (labels == 1).all():
+                raise RuntimeError("store failed")
+            return check(labels, space)
 
         config = small_config(n=2)
         data = build_round_data(config)
@@ -1122,10 +1142,10 @@ class TestPromptAborts:
         started = time.monotonic()
         coordinator, address, thread, box = start_coordinator(
             settings_for(config, data, timeout_s=self.TIMEOUT_S))
-        monkeypatch.setattr(coordinator, "_predictions", FailingStore())
+        monkeypatch.setattr(netproto, "vote_positions", failing_check)
         waiting, failing = register_raw(address, 0, [0, 1]), register_raw(address, 1, [0, 1])
         send_labels(waiting, 0, [0] * size)
-        send_labels(failing, 1, [0] * size)
+        send_labels(failing, 1, [1] * size)
         assert failing.recv() == {"v": PROTOCOL_VERSION, "kind": "ERROR",
                                   "payload": {"text": "RuntimeError: store failed"}}
         reply = waiting.recv()
