@@ -46,8 +46,7 @@ from .orchestrator import (
     mixed_participants,
     run_round,
     size_sweep_config,
-    sweep_alpha,
-    sweep_unlabeled_size,
+    sweep,
 )
 from .seeding import derive_seed
 from .theory import (

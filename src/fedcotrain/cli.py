@@ -60,11 +60,10 @@ from .orchestrator import (
     category_reports,
     participant_train_config,
     run_round,
-    sweep_alpha,
-    sweep_unlabeled_size,
+    sweep,
 )
 from .seeding import derive_seed
-from .theory import TheoryError, analyze_round
+from .theory import TheoryError, analyze_round, error_rate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -323,32 +322,30 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep(args, name: str, kind: type, key: str, width: int, spec: str, run, vary) -> int:
+def _sweep(args, name: str, kind: type, key: str, width: int, spec: str, vary) -> int:
     """Rerun the round once per value of the ``--{name}s`` flag, read as ``kind`` values.
 
-    ``vary(federation, value)`` builds the spec a value changes, so that its
-    checks refuse the flag's bad values before any training.
-    ``run(federation, values)`` returns ``(value, report)`` pairs; each
-    record stores its value under ``key``, and the table prints it in a
-    column ``width`` wide with format ``spec``.
+    ``vary(federation, value)`` builds the whole config a value names, so the
+    spec that owns the value refuses a bad one before any training. Each
+    record stores its report's ``key``, and the table prints it in a column
+    ``width`` wide with format ``spec``.
     """
     config = load_run_config(args.config, args.seed)
     flag = f"--{name}s"
     values = _parse(_flag_values(getattr(args, f"{name}s")), tuple[kind, ...], flag)
-    for value in values:
-        try:
-            vary(config, value)
-        except DomainError as exc:
-            raise ConfigError(f"{flag}: {exc}") from None
+    try:
+        configs = [vary(config, value) for value in values]
+    except DomainError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
     out = _out_dir(args.out)
     records = [{
         "record": f"{name}_sweep",
-        key: value,
+        key: getattr(report, key),
         "total_pseudolabels": report.total_pseudolabels,
         "mean_local_accuracy": report.mean_local_accuracy,
         "mean_federated_accuracy": report.mean_federated_accuracy,
         "mean_relative_accuracy": report.mean_relative_accuracy,
-    } for value, report in run(config, list(values))]
+    } for report in sweep(configs)]
     _write_jsonl(out / f"sweep_{name}.jsonl", records)
     lines = [f"{name:>{width}} {'pseudolabels':>13} {'mean_local':>11} "
              f"{'mean_fed':>9} {'mean_ratio':>11}"]
@@ -366,16 +363,21 @@ def _sweep(args, name: str, kind: type, key: str, width: int, spec: str, run, va
 
 
 def cmd_sweep_alpha(args) -> int:
-    return _sweep(args, "alpha", float, "alpha", 6, ".3g", sweep_alpha,
+    return _sweep(args, "alpha", float, "alpha", 6, ".3g",
                   lambda config, a: replace(config, alpha=a))
 
 
 def cmd_sweep_size(args) -> int:
-    return _sweep(args, "size", int, "unlabeled_size", 7, "", sweep_unlabeled_size,
-                  lambda config, s: replace(config.unlabeled, size=s))
+    return _sweep(args, "size", int, "unlabeled_size", 7, "",
+                  lambda config, s: replace(config, unlabeled=replace(config.unlabeled, size=s)))
 
 
 def cmd_analyze(args) -> int:
+    if args.helper_error is not None:
+        try:
+            error_rate("helper_error", args.helper_error)
+        except TheoryError as exc:
+            raise ConfigError(f"--helper-error: {exc}") from None
     config = load_run_config(args.config, args.seed)
     out = _out_dir(args.out)
     result = run_round(config)
@@ -389,10 +391,10 @@ def cmd_analyze(args) -> int:
 
 def _parse_bind(text: str, flag: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ConfigError(f"{flag}: invalid address {text!r}; expected host:port") from None
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ConfigError(f"{flag}: invalid address {text!r}; expected host:port, "
+                          "the port in [0, 65535]")
+    return host, int(port)
 
 
 def cmd_serve(args) -> int:

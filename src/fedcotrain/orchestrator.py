@@ -9,7 +9,7 @@ exactly once; there is no iterative refinement.
 
 A participant's side of the round is one step, ``Participant``, with three
 callers: ``_prepare`` (every vote, then every baseline) and ``_complete``
-(every update), which ``run_round`` and both sweeps share, and
+(every update), which ``run_round`` and ``sweep`` share, and
 ``netproto.join``, which votes before it connects and retrains after.
 
 Reported improvement is the ratio of the federated model's test accuracy to
@@ -435,10 +435,10 @@ def _participants(config: FederationConfig, data: RoundData) -> list[Participant
 
 @dataclass
 class _Prepared:
-    """Alpha-independent state shared by sweeps: the data, every participant's
-    vote (one row each) and its empty-bundle baseline (classifier, accuracy)."""
+    """What every completion of a round shares, alpha and public-set size
+    aside: the data, every participant's vote (one row each) and its
+    empty-bundle baseline (classifier, accuracy)."""
 
-    config: FederationConfig
     data: RoundData
     predictions: np.ndarray
     baselines: list[tuple[Classifier, float]]
@@ -450,7 +450,7 @@ def _prepare(config: FederationConfig) -> _Prepared:
     data = build_round_data(config)
     members = _participants(config, data)
     predictions = np.vstack([p.vote() for p in members])
-    return _Prepared(config=config, data=data, predictions=predictions,
+    return _Prepared(data=data, predictions=predictions,
                      baselines=[p.baseline() for p in members])
 
 
@@ -474,12 +474,14 @@ def coordinate(predictions: Sequence[np.ndarray], label_spaces: Sequence[LabelSp
     return pseudo_sets, bundles
 
 
-def _complete(prep: _Prepared, alpha: float) -> RoundResult:
-    config = prep.config
-    data = prep.data
+def _complete(prep: _Prepared, config: FederationConfig) -> RoundResult:
+    """The round of ``config`` over ``prep``'s first ``config.unlabeled.size``
+    public rows and the same columns of the votes."""
+    size = config.unlabeled.size
+    data = replace(prep.data, unlabeled=prep.data.unlabeled.prefix(size))
+    predictions = prep.predictions[:, :size]
     spaces = [shard.label_space for shard in data.shards]
-    size = len(data.unlabeled)
-    pseudo_sets, bundles = coordinate(list(prep.predictions), spaces, alpha, size,
+    pseudo_sets, bundles = coordinate(list(predictions), spaces, config.alpha, size,
                                       config.weights, config.global_conflict_removal)
 
     members = _participants(config, data)
@@ -494,7 +496,7 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
     report = RoundReport(
         participants=participant_reports,
         categories=category_reports(pseudo_sets, spaces),
-        alpha=alpha,
+        alpha=config.alpha,
         master_seed=config.master_seed,
         mode=config.partition.mode,
         unlabeled_size=size,
@@ -502,7 +504,7 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
     artifacts = RoundArtifacts(
         config=config,
         data=data,
-        predictions=prep.predictions,
+        predictions=predictions,
         pseudo_sets=pseudo_sets,
         bundles=bundles,
         federated_classifiers=[clf for clf, _ in federated],
@@ -512,42 +514,19 @@ def _complete(prep: _Prepared, alpha: float) -> RoundResult:
 
 def run_round(config: FederationConfig) -> RoundResult:
     """Execute the four protocol phases exactly once."""
-    return _complete(_prepare(config), config.alpha)
+    return _complete(_prepare(config), config)
 
 
-def sweep_alpha(config: FederationConfig,
-                alphas: Sequence[float]) -> list[tuple[float, RoundReport]]:
-    """Re-run the round at each threshold over identical data and seeds.
+def sweep(configs: Sequence[FederationConfig]) -> list[RoundReport]:
+    """Each config's round, all over one prepared round.
 
-    Local training and voting happen once; each ``(alpha, report)`` pair's
-    report equals a standalone ``run_round`` with that alpha.
+    The configs may differ only in ``alpha`` and ``unlabeled.size``. Local
+    training and voting happen once, at the largest public set, and a smaller
+    set is its row prefix, so each report equals a standalone ``run_round``.
     """
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {a}")
-    prep = _prepare(config)
-    return [(a, _complete(prep, a).report) for a in alphas]
-
-
-def sweep_unlabeled_size(config: FederationConfig,
-                         sizes: Sequence[int]) -> list[tuple[int, RoundReport]]:
-    """Re-run the round at each public-dataset size over nested datasets.
-
-    The largest set is generated once and smaller runs use its row prefix, so
-    each entry equals a standalone ``run_round`` with that size.
-    """
-    sizes = [int(s) for s in sizes]
-    for s in sizes:
-        if s < 1:
-            raise DomainError(f"unlabeled size must be >= 1, got {s}")
-    top = max(sizes)
-    top_config = replace(config, unlabeled=replace(config.unlabeled, size=top))
-    prep = _prepare(top_config)
-    entries = []
-    for s in sizes:
-        sized = replace(prep,
-                        config=replace(config, unlabeled=replace(config.unlabeled, size=s)),
-                        data=replace(prep.data, unlabeled=prep.data.unlabeled.prefix(s)),
-                        predictions=prep.predictions[:, :s])
-        entries.append((s, _complete(sized, config.alpha).report))
-    return entries
+    top = max(configs, key=lambda c: c.unlabeled.size)
+    if any(replace(c, alpha=top.alpha, unlabeled=replace(c.unlabeled, size=top.unlabeled.size))
+           != top for c in configs):
+        raise DomainError("sweep configs may differ only in alpha and unlabeled.size")
+    prep = _prepare(top)
+    return [_complete(prep, c).report for c in configs]

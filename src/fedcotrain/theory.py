@@ -54,12 +54,16 @@ class TheoryParams:
             raise TheoryError("labeled_size must be >= 1")
         if self.pseudo_size < 0:
             raise TheoryError("pseudo_size must be >= 0")
-        if not 0.0 < self.base_error < 0.5:
-            raise TheoryError("base_error must lie in (0, 1/2)")
-        if not 0.0 < self.helper_error < 0.5:
-            raise TheoryError("helper_error must lie in (0, 1/2)")
+        error_rate("base_error", self.base_error)
+        error_rate("helper_error", self.helper_error)
         if not 0.0 <= self.helper_disagreement <= 1.0:
             raise TheoryError("helper_disagreement must lie in [0, 1]")
+
+
+def error_rate(name: str, value: float) -> None:
+    """Refuse ``value`` as the error rate ``name`` unless it lies in (0, 1/2)."""
+    if not 0.0 < value < 0.5:
+        raise TheoryError(f"{name} must lie in (0, 1/2), got {value}")
 
 
 def prediction_disagreement(a: np.ndarray, b: np.ndarray) -> float:
@@ -158,8 +162,7 @@ def analyze_round(result, helper_error: float | None = None) -> RoundAnalysis:
     n = len(reports)
     local_errors = [1.0 - p.local_accuracy for p in reports]
     if helper_error is None:
-        helper_error = float(np.mean(local_errors))
-    helper_error = _clip_error(helper_error)
+        helper_error = _clip_error(float(np.mean(local_errors)))
 
     participants = []
     for p, error, bundle, federated in zip(reports, local_errors, artifacts.bundles,

@@ -25,7 +25,7 @@ from fedcotrain.orchestrator import (
     build_round_data,
     run_round,
     size_sweep_config,
-    sweep_unlabeled_size,
+    sweep,
 )
 from fedcotrain.theory import TheoryParams, labeled_risk_budget, retrained_error_bound
 
@@ -151,8 +151,9 @@ def test_a4_unlabeled_size_trend():
             config, unlabeled=dataclasses.replace(config.unlabeled, size=min(A4_SIZES))))
         assert np.array_equal(big.unlabeled.features[:min(A4_SIZES)],
                               small.unlabeled.features)
-        entries = sweep_unlabeled_size(config, list(A4_SIZES))
-        values = [entry[1].mean_relative_accuracy for entry in entries]
+        entries = sweep([dataclasses.replace(
+            config, unlabeled=dataclasses.replace(config.unlabeled, size=s)) for s in A4_SIZES])
+        values = [entry.mean_relative_accuracy for entry in entries]
         rho = float(spearmanr(list(A4_SIZES), values).statistic)
         rhos.append(rho)
     elapsed = time.monotonic() - started

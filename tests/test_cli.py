@@ -397,6 +397,22 @@ class TestAnalyze:
         digest = hashlib.sha256((out / "analysis.jsonl").read_bytes()).hexdigest()
         assert digest == "ff7ad0a289da8e8b7bf58b3968f6a7225fa9212c204f409f7d553d01f6713190"
 
+    @pytest.mark.parametrize("value", ["nan", "2.0", "-1", "0", "0.5"])
+    def test_helper_error_theory_refuses_is_config_error(self, config_path, tmp_path, capsys,
+                                                         monkeypatch, value):
+        # refused by theory's own rule before the round runs or writes a file
+        def fail(*args):
+            raise AssertionError("the round ran before its flag was checked")
+
+        monkeypatch.setattr(orch, "train_local", fail)
+        out = tmp_path / "a"
+        code = main(["analyze", "--config", str(config_path), "--out", str(out),
+                     f"--helper-error={value}"])
+        assert code == EXIT_CONFIG
+        assert ("config error: --helper-error: helper_error must lie in (0, 1/2)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestServeJoin:
     def test_round_trip_over_loopback(self, config_path, tmp_path, capsys):
@@ -607,6 +623,21 @@ class TestServeJoin:
         assert code == EXIT_CONFIG
         assert (f"config error: {flag}: invalid address 'localhost'; expected host:port"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, flag", [
+        (["serve", "--bind"], "--bind"),
+        (["join", "--participant", "0", "--addr"], "--addr"),
+    ])
+    @pytest.mark.parametrize("port", ["70000", "65536", "-5"])
+    def test_port_outside_the_port_range_is_config_error(self, tmp_path, capsys, command,
+                                                         flag, port):
+        # refused before any file is read: the data directory does not exist
+        address = f"127.0.0.1:{port}"
+        code = main([command[0], "--data", str(tmp_path / "missing"), *command[1:], address,
+                     "--timeout", "1"])
+        assert code == EXIT_CONFIG
+        assert (f"config error: {flag}: invalid address {address!r}; expected host:port, "
+                "the port in [0, 65535]" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", [
         ["serve", "--bind", "127.0.0.1:0", "--timeout", "1"],

@@ -12,8 +12,7 @@ from fedcotrain.orchestrator import (
     RoundError,
     build_round_data,
     run_round,
-    sweep_alpha,
-    sweep_unlabeled_size,
+    sweep,
 )
 
 
@@ -30,6 +29,15 @@ def small_config(n=4, mode="noniid", alpha=0.3, seed=1, m=150, **kw):
         **kw,
     )
     return cfg
+
+
+def at_alphas(cfg, alphas):
+    return [dataclasses.replace(cfg, alpha=a) for a in alphas]
+
+
+def at_sizes(cfg, sizes):
+    return [dataclasses.replace(cfg, unlabeled=dataclasses.replace(cfg.unlabeled, size=s))
+            for s in sizes]
 
 
 class TestRunRound:
@@ -179,55 +187,67 @@ class TestRoundData:
 
 class TestSweepAlpha:
     def test_totals_non_increasing_and_empty_at_one(self):
-        entries = sweep_alpha(small_config(), [0.0, 0.3, 1.0])
-        totals = [report.total_pseudolabels for _, report in entries]
+        entries = sweep(at_alphas(small_config(), [0.0, 0.3, 1.0]))
+        totals = [report.total_pseudolabels for report in entries]
         assert totals == sorted(totals, reverse=True)
         assert totals[-1] == 0
 
     def test_singleton_matches_run_round(self):
         cfg = small_config(alpha=0.25)
-        ((_, report),) = sweep_alpha(cfg, [0.25])
+        (report,) = sweep(at_alphas(cfg, [0.25]))
         assert report.to_jsonl() == run_round(cfg).report.to_jsonl()
 
     def test_repeated_alpha_identical(self):
-        (_, first), (_, second) = sweep_alpha(small_config(), [0.2, 0.2])
+        first, second = sweep(at_alphas(small_config(), [0.2, 0.2]))
         assert first.to_jsonl() == second.to_jsonl()
 
     def test_each_entry_matches_standalone_round(self):
         cfg = small_config()
-        for alpha, report in sweep_alpha(cfg, [0.0, 0.5]):
+        for alpha, report in zip([0.0, 0.5], sweep(at_alphas(cfg, [0.0, 0.5]))):
             standalone = run_round(dataclasses.replace(cfg, alpha=alpha))
             assert report.to_jsonl() == standalone.report.to_jsonl()
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(DomainError):
-            sweep_alpha(small_config(), [0.2, 1.4])
 
 
 class TestSweepSize:
     def test_each_size_matches_standalone_round(self):
         cfg = small_config(m=120)
-        for size, report in sweep_unlabeled_size(cfg, [40, 120]):
+        for size, report in zip([40, 120], sweep(at_sizes(cfg, [40, 120]))):
             standalone_cfg = dataclasses.replace(
                 cfg, unlabeled=dataclasses.replace(cfg.unlabeled, size=size))
             assert report.to_jsonl() == run_round(standalone_cfg).report.to_jsonl()
 
     def test_repeated_size_identical(self):
-        entries = sweep_unlabeled_size(small_config(), [60, 60])
-        assert entries[0][1].to_jsonl() == entries[1][1].to_jsonl()
+        entries = sweep(at_sizes(small_config(), [60, 60]))
+        assert entries[0].to_jsonl() == entries[1].to_jsonl()
 
     def test_size_one_completes_with_tiny_bundles(self):
-        (entry,) = sweep_unlabeled_size(small_config(), [1])
-        size, report = entry
+        (report,) = sweep(at_sizes(small_config(), [1]))
+        size = report.unlabeled_size
         assert size == 1
         for c in report.categories:
             assert c.pseudolabel_count <= 1
         for p in report.participants:
             assert p.bundle_size <= 1
 
-    def test_invalid_size_rejected(self):
-        with pytest.raises(DomainError):
-            sweep_unlabeled_size(small_config(), [0])
+
+class TestSweep:
+    def test_refuses_configs_differing_beyond_alpha_and_size(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the sweep trained before checking its configs")
+
+        monkeypatch.setattr(orch, "train_local", fail)
+        cfg = small_config()
+        with pytest.raises(DomainError, match="may differ only in alpha and unlabeled.size"):
+            sweep([cfg, dataclasses.replace(cfg, master_seed=cfg.master_seed + 1)])
+
+    def test_mixed_alphas_and_sizes_match_standalone_rounds(self):
+        cfg = small_config(m=120)
+        configs = [c for sized in at_sizes(cfg, [40, 120]) for c in at_alphas(sized, [0.0, 0.5])]
+        reports = sweep(configs)
+        assert [(r.alpha, r.unlabeled_size) for r in reports] == [
+            (0.0, 40), (0.5, 40), (0.0, 120), (0.5, 120)]
+        for config, report in zip(configs, reports):
+            assert report.to_jsonl() == run_round(config).report.to_jsonl()
 
 
 class TestReportSerialization:

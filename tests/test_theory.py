@@ -216,3 +216,20 @@ class TestAnalyzeRound:
     def test_prediction_disagreement_validation(self):
         with pytest.raises(TheoryError):
             prediction_disagreement(np.array([1, 2]), np.array([1]))
+
+    def test_given_helper_error_is_taken_as_given(self):
+        # only the measured mean is clipped; a value outside (0, 1/2) is refused
+        result = fc.run_round(self.small_config(alpha=0.3))
+        for bad in (2.0, -1.0, 0.0, 0.5, float("nan")):
+            with pytest.raises(TheoryError, match=r"helper_error must lie in \(0, 1/2\)"):
+                analyze_round(result, helper_error=bad)
+        analysis = analyze_round(result, helper_error=0.499)
+        assert {entry.helper_error for entry in analysis.participants} == {0.499}
+
+    def test_measured_helper_error_is_clipped(self):
+        import dataclasses
+        result = fc.run_round(self.small_config(alpha=0.3))
+        result.report = dataclasses.replace(result.report, participants=tuple(
+            dataclasses.replace(p, local_accuracy=1.0) for p in result.report.participants))
+        analysis = analyze_round(result)
+        assert {entry.helper_error for entry in analysis.participants} == {1e-6}
