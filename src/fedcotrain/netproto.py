@@ -68,6 +68,7 @@ import base64
 import hashlib
 import json
 import logging
+import math
 import selectors
 import socket
 import time
@@ -325,6 +326,12 @@ class MessageStream:
 
 @dataclass
 class CoordinatorSettings:
+    """What one round runs with, refused when built if the round could not run with it.
+
+    Each refusal has the text the vote or ``--timeout`` gives, so a bad setting
+    is named before anyone joins rather than after every participant has voted.
+    """
+
     n_participants: int
     alpha: float
     unlabeled_size: int
@@ -332,6 +339,18 @@ class CoordinatorSettings:
     weights: CredibilityWeights | None = None
     global_conflict_removal: bool = False
     timeout_s: float = DEFAULT_COORDINATOR_TIMEOUT
+
+    def __post_init__(self):
+        if self.n_participants < 1:
+            raise ValueError("need at least one participant")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.unlabeled_size < 1:
+            raise ValueError("public dataset size must be >= 1")
+        if self.weights is not None and len(self.weights) != self.n_participants:
+            raise ValueError(f"{len(self.weights)} weights for {self.n_participants} participants")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"timeout_s: expected a finite number > 0, got {self.timeout_s}")
 
 
 @dataclass

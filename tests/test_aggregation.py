@@ -239,6 +239,25 @@ class TestBuildBundle:
         assert [e.category for e in bundle.entries] == [3, 8]
         assert len(bundle) == 0
 
+    @pytest.mark.parametrize("owner", [-4, 1.5, "x", True, np.bool_(False), None])
+    def test_owner_must_be_a_non_negative_integer(self, owner):
+        message = re.escape(f"bundle owner {owner!r} is not a non-negative integer")
+        with pytest.raises(AggregationError, match=message):
+            PseudolabelBundle(owner=owner, entries=())
+        with pytest.raises(AggregationError, match=message):
+            PseudolabelBundle.empty(owner)
+        with pytest.raises(AggregationError, match=message):
+            build_bundle({0: PseudolabelSet(0, (1,))}, LabelSpace((0,)), owner=owner)
+
+    def test_owner_is_kept_as_a_python_int(self):
+        assert type(PseudolabelBundle(owner=np.int64(3), entries=()).owner) is int
+        assert type(build_bundle({}, LabelSpace((0,)), owner=np.int32(0)).owner) is int
+
+    def test_sets_under_another_category_key_are_refused(self):
+        sets = {0: PseudolabelSet(1, (1,)), 1: PseudolabelSet(0, (2,))}
+        with pytest.raises(AggregationError, match="bundle entries must be sorted by category"):
+            build_bundle(sets, LabelSpace((0, 1)), owner=0)
+
     def test_bundle_rejects_overlapping_entries(self):
         with pytest.raises(AggregationError):
             PseudolabelBundle(owner=0, entries=(PseudolabelSet(0, (1,)),
@@ -264,6 +283,20 @@ class TestPseudolabelSet:
         ((-2 ** 70,), "fit in int64"),
         (((1, 2), (3, 4)), "one-dimensional"),
         (7, "one-dimensional"),
+        # a float is never truncated, a string never parsed, a bool is no index
+        ([0.5, 1.7], "must be integers"),
+        (np.array([0.9, 2.2]), "must be integers"),
+        ([2.0, 5.0], "must be integers"),
+        (np.array([2.0, 5.0]), "must be integers"),
+        ([1, 2.0], "must be integers"),
+        (["1", "2"], "must be integers"),
+        ([1, "2"], "must be integers"),
+        ([False, True], "must be integers"),
+        ([True, False], "must be integers"),
+        ([1, True], "must be integers"),
+        ((np.bool_(False), 3), "must be integers"),
+        (np.array([False, True]), "must be integers"),
+        (np.array([1, 2], dtype=object), "must be integers"),
     ])
     def test_rejects_bad_indices(self, indices, message):
         with pytest.raises(AggregationError, match=message):
@@ -300,6 +333,11 @@ class TestPseudolabelSet:
         assert not pset.indices.flags.writeable
         assert pset.indices.tolist() == [1, 5, 2 ** 40]
         assert type(pset.category) is int
+
+    @pytest.mark.parametrize("indices", [(), [], np.array([]), np.empty(0, dtype=np.int32)])
+    def test_takes_an_empty_sequence(self, indices):
+        pset = PseudolabelSet(4, indices)
+        assert pset.indices.dtype == np.int64 and pset.indices.shape == (0,)
 
     def test_equal_by_category_and_indices_and_unhashable(self):
         assert PseudolabelSet(2, (1, 4)) == PseudolabelSet(2, np.array([1, 4]))
@@ -482,6 +520,43 @@ def test_property_unit_weight_equivalence(problem):
         as_plain(aggregate(preds, spaces, 0.35, size))
 
 
+def checked(pset):
+    """The set rebuilt through the public constructor, from a copy of its indices."""
+    return PseudolabelSet(pset.category, pset.indices.copy())
+
+
+def assert_sealed(pset):
+    """The set's indices are a read-only int64 view that cannot be made writeable."""
+    assert pset.indices.dtype == np.int64 and not pset.indices.flags.writeable
+    with pytest.raises(ValueError):
+        pset.indices.flags.writeable = True
+
+
+# The sets and bundles the module builds without a check equal the ones its
+# public constructors build from the same values, and stay read-only. Every
+# space's category has an admitted set, so each set and bundle entry here is a
+# slice the step made: of the vote's array, or of what conflict removal kept.
+@given(vote_problems(), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.2, 0.4, 0.6, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_property_unchecked_path_equals_checked_path(problem, weighted, seed, alpha):
+    preds, spaces, size = problem
+    values = tuple((0.25 + np.random.default_rng(seed).random(len(spaces))).tolist()) \
+        if weighted else (1.0,) * len(spaces)
+    voted = aggregate_weighted(preds, spaces, CredibilityWeights(values), alpha, size)
+    cleaned = remove_global_conflicts(voted)
+    for pseudo_sets in (voted, cleaned):
+        assert list(pseudo_sets) == list(voted)
+        for category, pset in pseudo_sets.items():
+            assert pset == checked(pset) and pset.category == category
+            assert_sealed(pset)
+        for owner, space in enumerate(spaces):
+            bundle = build_bundle(pseudo_sets, space, owner=owner)
+            assert bundle == PseudolabelBundle(owner, tuple(map(checked, bundle.entries)))
+            for entry in bundle.entries:
+                assert_sealed(entry)
+
+
 # Own label spaces of k categories, given in no order, with dense or sparse
 # ids up to near the bound; votes hit every own category's neighbourhood, both
 # ends of the space and both ends of int64, or only values from 0 to the
@@ -557,8 +632,9 @@ def test_mass_equal_to_its_threshold_is_admitted():
 
 # sha256 of every admitted set and every bundle of one seeded coordinator step,
 # frozen before the vote check, the vote and conflict removal were rewritten:
-# N=12 voters over 40 dense categories and 30,000 public indices (five vote
-# chunks), random weights, with and without global conflict removal.
+# N=12 voters over 39 of 40 dense categories and 30,000 public indices (36
+# vote chunks of 840 indices at VOTE_CHUNK_CELLS = 2**15), random weights, with
+# and without global conflict removal.
 COORDINATOR_STEP_SHA256 = "49ef0569deb02c29919ebcf352ce43a20f02ee8fa2c35c69ac8e533a29a8933d"
 
 

@@ -1092,6 +1092,25 @@ def send_labels(raw, pid, labels):
               "payload": {"participant_id": pid, "labels": labels}})
 
 
+# One row per setting the round cannot run with; each is refused when the
+# settings are built, with the text the vote or ``--timeout`` would give.
+@pytest.mark.parametrize("field, value, message", [
+    ("n_participants", 0, "need at least one participant"),
+    ("alpha", 1.5, "alpha must lie in [0, 1], got 1.5"),
+    ("alpha", float("nan"), "alpha must lie in [0, 1], got nan"),
+    ("unlabeled_size", 0, "public dataset size must be >= 1"),
+    ("weights", fc.CredibilityWeights((1.0,)), "1 weights for 2 participants"),
+    ("timeout_s", 0.0, "timeout_s: expected a finite number > 0, got 0.0"),
+    ("timeout_s", float("inf"), "timeout_s: expected a finite number > 0, got inf"),
+])
+def test_coordinator_settings_refuse_a_round_that_cannot_run(field, value, message):
+    valid = dict(n_participants=2, alpha=0.3, unlabeled_size=10, dataset_sha256="0" * 64,
+                 weights=fc.CredibilityWeights((1.0, 0.5)), timeout_s=5.0)
+    CoordinatorSettings(**valid)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CoordinatorSettings(**{**valid, field: value})
+
+
 class TestPromptAborts:
     """A failed round is reported with its real cause, long before the timeout."""
 
