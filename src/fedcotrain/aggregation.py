@@ -46,13 +46,12 @@ index therefore stays within the public set; a direct call with an index far
 past any public set fails when numpy allocates that table. ``_repeated``
 marks the shared positions of the sets' concatenated indices by counting
 every index with one ``np.bincount`` and taking each count back; conflict
-removal keeps the rest with one compress and gives each set its stretch. A
-bundle checks that its entries are disjoint by marking them in a one-byte
-seen-table over the same range, and calls ``_repeated`` only to name the
-shared indices in its error. An index set holds its indices as a read-only,
-one-dimensional int64 array, from the vote to the wire: the count, the
-conflict masks and the bundle's rows work on it directly, and the wire
-carries its bytes (``netproto.array_text``).
+removal keeps the rest with one compress and gives each set its stretch,
+and a bundle refuses entries with any shared position, naming them. An
+index set holds its indices as a read-only, one-dimensional int64 array,
+from the vote to the wire: the count, the conflict masks and the bundle's
+rows work on it directly, and the wire carries its bytes
+(``netproto.array_text``).
 
 Each fact is checked once, where it enters: the vote checks its inputs, and
 the public constructors of ``PseudolabelSet`` and ``PseudolabelBundle``
@@ -98,6 +97,9 @@ class PseudolabelSet:
             raise AggregationError(f"indices must be one-dimensional, got shape {values.shape}")
         if isinstance(self.indices, np.ndarray):
             integral = values.dtype.kind in "iu"
+            # an unsigned value past int64 would wrap negative in the cast below
+            if values.dtype.kind == "u" and len(values) and values.max() > np.iinfo(np.int64).max:
+                raise AggregationError("indices must fit in int64")
         else:
             # numpy reads a bool beside ints as an int, so a sequence is judged by its values
             integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -150,8 +152,8 @@ class PseudolabelBundle:
     def __post_init__(self):
         object.__setattr__(self, "owner", _owner(self.owner))
         _check_order(self.entries)
-        if not _disjoint(self.entries):
-            flat, shared = _repeated(self.entries)
+        flat, shared = _repeated(self.entries)
+        if shared.any():
             raise AggregationError(
                 f"bundle entries overlap on indices {np.unique(flat[shared])[:5].tolist()}"
             )
@@ -403,20 +405,6 @@ def _repeated(entries: Sequence[PseudolabelSet]) -> tuple[np.ndarray, np.ndarray
     """
     flat = np.concatenate([e.indices for e in entries]) if entries else np.empty(0, np.int64)
     return flat, np.bincount(flat).take(flat) > 1
-
-
-def _disjoint(entries: Sequence[PseudolabelSet]) -> bool:
-    """Whether no two of the sets share an index, by a one-byte seen-table.
-
-    Each set's indices are distinct, so the sets are disjoint exactly when
-    they mark as many table slots as they hold indices.
-    """
-    # every set is ascending, so the largest index is some set's last
-    top = max((int(e.indices[-1]) for e in entries if len(e)), default=-1)
-    seen = np.zeros(top + 1, dtype=np.uint8)
-    for entry in entries:
-        seen[entry.indices] = 1
-    return np.count_nonzero(seen) == sum(len(e) for e in entries)
 
 
 def _drop_conflicts(entries: Sequence[PseudolabelSet]) -> list[PseudolabelSet]:

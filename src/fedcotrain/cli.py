@@ -288,13 +288,13 @@ def _read_manifest(data_dir: Path):
     return _parse_spec(FederationConfig, item("config"), f"{path}: config"), item
 
 
-def _dump_artifacts(artifacts, out: Path) -> None:
+def _dump_artifacts(result, out: Path) -> None:
     records = []
-    for i, row in enumerate(artifacts.predictions):
+    for i, row in enumerate(result.predictions):
         records.append({"record": "predictions", "participant": i, "labels": row})
-    pseudo_sets = [artifacts.pseudo_sets[c] for c in sorted(artifacts.pseudo_sets)]
+    pseudo_sets = [result.pseudo_sets[c] for c in sorted(result.pseudo_sets)]
     records += [{"record": "pseudolabel_set", **entry} for entry in entries_payload(pseudo_sets)]
-    records += [_bundle_record(bundle) for bundle in artifacts.bundles]
+    records += [_bundle_record(bundle) for bundle in result.bundles]
     _write_jsonl(out / "artifacts.jsonl", records)
 
 
@@ -318,7 +318,7 @@ def cmd_run(args) -> int:
     result = run_round(config)
     _emit_report(result.report, out, args.format)
     if args.dump_artifacts:
-        _dump_artifacts(result.artifacts, out)
+        _dump_artifacts(result, out)
     return EXIT_OK
 
 

@@ -112,7 +112,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = _as_feature_matrix(self.features, "labeled dataset")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # a float or a bool is never truncated to an id
+        if labels.size and labels.dtype.kind not in "iu":
+            raise DomainError(f"labels must be integers, got {labels.dtype}")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.labels.ndim != 1:
             raise DomainError("labels must be a 1-D vector")
         if len(self.labels) != len(self.features):

@@ -67,7 +67,8 @@ class Classifier(ABC):
         # Ascending class order makes argmax tie-breaking resolve to the
         # lowest category id.
         self.classes = np.array(sorted(label_space.categories), dtype=np.int64)
-        self.trained = False
+        # the feature count it was trained on; None while untrained
+        self.n_features: int | None = None
 
     def train(self, dataset: LabeledDataset) -> "Classifier":
         if len(dataset) == 0:
@@ -78,15 +79,18 @@ class Classifier(ABC):
                 f"training labels {outside} outside the classifier's label space"
             )
         self._fit(dataset.features, dataset.labels)
-        self.trained = True
+        self.n_features = dataset.feature_dim
         return self
 
     def predict_batch(self, data: UnlabeledDataset | np.ndarray) -> np.ndarray:
-        if not self.trained:
+        if self.n_features is None:
             raise LearnerError("classifier is untrained")
         X = data.features if isinstance(data, UnlabeledDataset) else np.asarray(data, dtype=np.float64)
         if X.ndim != 2:
             raise LearnerError("predict_batch expects a 2-D feature matrix")
+        if X.shape[1] != self.n_features:
+            raise LearnerError(f"classifier trained on {self.n_features} features "
+                               f"asked to predict rows of {X.shape[1]}")
         scores = self._scores(X)
         return self.classes[np.argmax(scores, axis=1)]
 

@@ -7,10 +7,11 @@ hands each participant its conflict-free bundle, and every participant
 retrains from scratch on its own data plus the bundle. The round happens
 exactly once; there is no iterative refinement.
 
-A participant's side of the round is one step, ``Participant``, with three
-callers: ``_prepare`` (every vote, then every baseline) and ``_complete``
-(every update), which ``run_round`` and ``sweep`` share, and
-``netproto.join``, which votes before it connects and retrains after.
+A participant's side of the round is one step, ``Participant``.
+``_prepare`` builds the round's participants once and runs every vote, then
+every baseline; ``_complete`` runs every update on those same participants.
+``run_round`` and ``sweep`` share both, and ``netproto.join`` votes before
+it connects and retrains after.
 
 Reported improvement is the ratio of the federated model's test accuracy to
 a local baseline retrained with the same update-phase budget and seed, so
@@ -356,22 +357,15 @@ class RoundReport:
 
 
 @dataclass
-class RoundArtifacts:
-    """What a finished round holds beside its report. With the report (see
-    ``RoundResult``), it is everything needed to audit or analyze the round."""
+class RoundResult:
+    """A finished round: its report, and everything needed to audit or analyze it."""
 
-    config: FederationConfig
+    report: RoundReport
     data: RoundData
     predictions: np.ndarray
     pseudo_sets: dict[int, PseudolabelSet]
     bundles: list[PseudolabelBundle]
     federated_classifiers: list[Classifier]
-
-
-@dataclass
-class RoundResult:
-    report: RoundReport
-    artifacts: RoundArtifacts
 
 
 class RoundError(RuntimeError):
@@ -426,20 +420,14 @@ class Participant:
                                     self.index, "evaluation")
 
 
-def _participants(config: FederationConfig, data: RoundData) -> list[Participant]:
-    """The round's participants, each with its derived train config."""
-    return [Participant(i, config.participants[i].learner, shard.label_space, shard.train,
-                        data.test_sets[i], data.unlabeled, participant_train_config(config, i))
-            for i, shard in enumerate(data.shards)]
-
-
 @dataclass
 class _Prepared:
     """What every completion of a round shares, alpha and public-set size
-    aside: the data, every participant's vote (one row each) and its
-    empty-bundle baseline (classifier, accuracy)."""
+    aside: the data, the participants, every one's vote (one row each) and
+    its empty-bundle baseline (classifier, accuracy)."""
 
     data: RoundData
+    members: list[Participant]
     predictions: np.ndarray
     baselines: list[tuple[Classifier, float]]
 
@@ -448,9 +436,11 @@ def _prepare(config: FederationConfig) -> _Prepared:
     # Every participant votes before any baseline is fit, so the first
     # failure a round names does not depend on the baseline phase.
     data = build_round_data(config)
-    members = _participants(config, data)
+    members = [Participant(i, config.participants[i].learner, shard.label_space, shard.train,
+                           data.test_sets[i], data.unlabeled, participant_train_config(config, i))
+               for i, shard in enumerate(data.shards)]
     predictions = np.vstack([p.vote() for p in members])
-    return _Prepared(data=data, predictions=predictions,
+    return _Prepared(data=data, members=members, predictions=predictions,
                      baselines=[p.baseline() for p in members])
 
 
@@ -476,23 +466,25 @@ def coordinate(predictions: Sequence[np.ndarray], label_spaces: Sequence[LabelSp
 
 def _complete(prep: _Prepared, config: FederationConfig) -> RoundResult:
     """The round of ``config`` over ``prep``'s first ``config.unlabeled.size``
-    public rows and the same columns of the votes."""
+    public rows and the same columns of the votes.
+
+    The participants keep the largest public set: every bundle index lies
+    below ``size``, and a bundle's rows are gathered by index, so they
+    retrain on the same rows as over the prefix.
+    """
     size = config.unlabeled.size
-    data = replace(prep.data, unlabeled=prep.data.unlabeled.prefix(size))
     predictions = prep.predictions[:, :size]
-    spaces = [shard.label_space for shard in data.shards]
+    spaces = [p.label_space for p in prep.members]
     pseudo_sets, bundles = coordinate(list(predictions), spaces, config.alpha, size,
                                       config.weights, config.global_conflict_removal)
-
-    members = _participants(config, data)
     federated = [p.update(bundle, baseline)
-                 for p, bundle, baseline in zip(members, bundles, prep.baselines)]
+                 for p, bundle, baseline in zip(prep.members, bundles, prep.baselines)]
     participant_reports = tuple(
         ParticipantReport(participant=p.index, learner=p.learner, train_size=len(p.train),
                           bundle_size=len(bundle), local_accuracy=local_acc,
                           federated_accuracy=fed_acc)
         for p, bundle, (_, local_acc), (_, fed_acc)
-        in zip(members, bundles, prep.baselines, federated))
+        in zip(prep.members, bundles, prep.baselines, federated))
     report = RoundReport(
         participants=participant_reports,
         categories=category_reports(pseudo_sets, spaces),
@@ -501,15 +493,14 @@ def _complete(prep: _Prepared, config: FederationConfig) -> RoundResult:
         mode=config.partition.mode,
         unlabeled_size=size,
     )
-    artifacts = RoundArtifacts(
-        config=config,
-        data=data,
+    return RoundResult(
+        report=report,
+        data=replace(prep.data, unlabeled=prep.data.unlabeled.prefix(size)),
         predictions=predictions,
         pseudo_sets=pseudo_sets,
         bundles=bundles,
         federated_classifiers=[clf for clf, _ in federated],
     )
-    return RoundResult(report=report, artifacts=artifacts)
 
 
 def run_round(config: FederationConfig) -> RoundResult:

@@ -157,7 +157,6 @@ def analyze_round(result, helper_error: float | None = None) -> RoundAnalysis:
     """
     if result is None:
         raise TheoryError("a finished round's result is required for analysis")
-    artifacts = result.artifacts
     reports = result.report.participants
     n = len(reports)
     local_errors = [1.0 - p.local_accuracy for p in reports]
@@ -165,11 +164,11 @@ def analyze_round(result, helper_error: float | None = None) -> RoundAnalysis:
         helper_error = _clip_error(float(np.mean(local_errors)))
 
     participants = []
-    for p, error, bundle, federated in zip(reports, local_errors, artifacts.bundles,
-                                           artifacts.federated_classifiers):
+    for p, error, bundle, federated in zip(reports, local_errors, result.bundles,
+                                           result.federated_classifiers):
         pseudo_size = len(bundle)
         if pseudo_size > 0:
-            pseudo = materialize_bundle(bundle, artifacts.data.unlabeled)
+            pseudo = materialize_bundle(bundle, result.data.unlabeled)
             disagreement = prediction_disagreement(federated.predict_batch(pseudo.features),
                                                    pseudo.labels)
         else:
@@ -190,7 +189,7 @@ def analyze_round(result, helper_error: float | None = None) -> RoundAnalysis:
         ))
 
     matrix = tuple(
-        tuple(prediction_disagreement(artifacts.predictions[i], artifacts.predictions[j])
+        tuple(prediction_disagreement(result.predictions[i], result.predictions[j])
               if i != j else 0.0
               for j in range(n))
         for i in range(n)

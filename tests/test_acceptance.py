@@ -277,7 +277,7 @@ def test_a6_wire_matches_in_process(wire_round):
         json.dumps({"record": "bundle", "participant": b.owner,
                     "entries": [{"category": e.category, "indices": e.indices.tolist()}
                                 for e in b.entries]}, sort_keys=True) + "\n"
-        for b in in_process.artifacts.bundles)
+        for b in in_process.bundles)
     bundles_identical = served_bundles == expected_bundles
 
     # the joins' participant lines, in id order, then serve's category lines are

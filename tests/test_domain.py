@@ -99,6 +99,18 @@ class TestDatasets:
         with pytest.raises(DomainError):
             LabeledDataset(np.array([[np.inf, 0.0]]), np.array([0]))
 
+    @pytest.mark.parametrize("labels, dtype", [
+        ([0.5, 1.7], "float64"),
+        (np.array([0.0, 1.0], dtype=np.float32), "float32"),
+        ([False, True], "bool"),
+        (["0", "1"], "<U1"),
+    ])
+    def test_labels_that_are_not_integers_are_refused_not_truncated(self, labels, dtype):
+        with pytest.raises(DomainError, match=re.escape(f"labels must be integers, got {dtype}")):
+            LabeledDataset(np.zeros((2, 2)), labels)
+        # an empty label vector has no value to truncate
+        assert len(LabeledDataset(np.zeros((0, 2)), [])) == 0
+
     def test_unlabeled_needs_rows(self):
         with pytest.raises(DomainError):
             UnlabeledDataset(np.zeros((0, 2)))

@@ -85,6 +85,13 @@ class TestContract:
         assert str(info.value) == (
             "training labels [-3, 9] outside the classifier's label space")
 
+    @pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
+    def test_prediction_names_a_feature_count_it_was_not_trained_on(self, kind):
+        clf = train_local(kind, SPACE01, two_clusters(seed=23), TrainConfig(seed=1, epochs=5))
+        with pytest.raises(LearnerError, match="trained on 2 features asked to predict "
+                                               "rows of 3"):
+            clf.predict_batch(np.zeros((3, 3)))
+
     def test_unknown_kind(self):
         with pytest.raises(LearnerError, match="unknown learner kind"):
             make_classifier("svm", SPACE01, TrainConfig())

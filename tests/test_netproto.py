@@ -560,13 +560,13 @@ class TestRound:
 
             in_process = run_round(config)
             for i, p in enumerate(in_process.report.participants):
-                assert results[i].bundle == in_process.artifacts.bundles[i]
+                assert results[i].bundle == in_process.bundles[i]
                 assert results[i].to_record() == p.to_record()
             for i, bundle in box["result"].bundles.items():
-                assert bundle == in_process.artifacts.bundles[i]
+                assert bundle == in_process.bundles[i]
             served = box["result"]
             assert served.label_spaces == [shard.label_space
-                                           for shard in in_process.artifacts.data.shards]
+                                           for shard in in_process.data.shards]
             assert (orch.category_reports(served.pseudo_sets, served.label_spaces)
                     == in_process.report.categories)
         assert all(len(r.bundle) == 0 and r.federated_accuracy == r.local_accuracy

@@ -46,8 +46,8 @@ class TestRunRound:
         result = run_round(cfg)
         assert len(result.report.participants) == 1
         # the lone participant's bundle comes from its own votes alone
-        bundle = result.artifacts.bundles[0]
-        preds = result.artifacts.predictions[0]
+        bundle = result.bundles[0]
+        preds = result.predictions[0]
         for entry in bundle.entries:
             for index in entry.indices:
                 assert preds[index] == entry.category
@@ -76,7 +76,7 @@ class TestRunRound:
             if p.local_accuracy > 0:
                 assert p.relative_accuracy == p.federated_accuracy / p.local_accuracy
         owners_total = {c.category: c.owner_count for c in report.categories}
-        for shard in result.artifacts.data.shards:
+        for shard in result.data.shards:
             for category in shard.label_space:
                 assert owners_total[category] >= 1
         assert report.total_pseudolabels == sum(
@@ -84,13 +84,12 @@ class TestRunRound:
 
     def test_audit_membership_certificate(self):
         result = run_round(small_config(alpha=0.4))
-        artifacts = result.artifacts
-        spaces = [shard.label_space for shard in artifacts.data.shards]
-        for bundle in artifacts.bundles:
+        spaces = [shard.label_space for shard in result.data.shards]
+        for bundle in result.bundles:
             for entry in bundle.entries:
                 owners = sum(1 for s in spaces if entry.category in s)
                 for index in entry.indices:
-                    votes = sum(1 for row in artifacts.predictions
+                    votes = sum(1 for row in result.predictions
                                 if row[index] == entry.category)
                     assert votes / owners > 0.4
 
@@ -107,7 +106,7 @@ class TestRunRound:
         cleaned = run_round(flagged)
         assert cleaned.report.total_pseudolabels <= base.report.total_pseudolabels
         seen = {}
-        for c, pset in cleaned.artifacts.pseudo_sets.items():
+        for c, pset in cleaned.pseudo_sets.items():
             for index in pset.indices:
                 assert index not in seen, "global removal left a contested index"
                 seen[index] = c

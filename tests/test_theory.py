@@ -174,8 +174,7 @@ class TestAnalyzeRound:
 
     def test_identical_prediction_rows_have_zero_disagreement(self):
         result = fc.run_round(self.small_config(alpha=0.3))
-        artifacts = result.artifacts
-        artifacts.predictions = np.vstack([artifacts.predictions[0]] * 4)
+        result.predictions = np.vstack([result.predictions[0]] * 4)
         analysis = analyze_round(result)
         matrix = np.array(analysis.pairwise_disagreement)
         assert matrix.shape == (4, 4)
@@ -183,19 +182,18 @@ class TestAnalyzeRound:
 
     def test_values_match_recomputation_from_artifacts(self):
         result = fc.run_round(self.small_config(alpha=0.3))
-        artifacts = result.artifacts
         analysis = analyze_round(result, helper_error=0.25)
         for i, entry in enumerate(analysis.participants):
-            bundle = artifacts.bundles[i]
+            bundle = result.bundles[i]
             assert entry.pseudo_size == len(bundle)
-            assert entry.labeled_size == len(artifacts.data.shards[i].train)
+            assert entry.labeled_size == len(result.data.shards[i].train)
             rows, labels = [], []
             for e in bundle.entries:
                 rows.extend(e.indices)
                 labels.extend([e.category] * len(e.indices))
             if rows:
-                fed_preds = artifacts.federated_classifiers[i].predict_batch(
-                    artifacts.data.unlabeled.features[np.array(rows)])
+                fed_preds = result.federated_classifiers[i].predict_batch(
+                    result.data.unlabeled.features[np.array(rows)])
                 expected_d = float(np.mean(fed_preds != np.array(labels)))
                 assert entry.helper_disagreement == expected_d
             expected_bound = max(
@@ -203,7 +201,7 @@ class TestAnalyzeRound:
                 * (0.25 - entry.helper_disagreement), 0.0)
             assert entry.retrained_bound == pytest.approx(expected_bound, abs=1e-12)
         # pairwise disagreement equals a direct recount of the vote matrix
-        preds = artifacts.predictions
+        preds = result.predictions
         for i in range(len(preds)):
             for j in range(len(preds)):
                 expected = 0.0 if i == j else float(np.mean(preds[i] != preds[j]))
