@@ -116,6 +116,9 @@ class LabeledDataset:
         # a float or a bool is never truncated to an id
         if labels.size and labels.dtype.kind not in "iu":
             raise DomainError(f"labels must be integers, got {labels.dtype}")
+        # an unsigned value past int64 would wrap negative in the cast below
+        if labels.dtype.kind == "u" and labels.size and labels.max() > np.iinfo(np.int64).max:
+            raise DomainError("labels must fit in int64")
         self.labels = labels.astype(np.int64, copy=False)
         if self.labels.ndim != 1:
             raise DomainError("labels must be a 1-D vector")
@@ -134,6 +137,15 @@ class LabeledDataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    @classmethod
+    def _valid(cls, features: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
+        """A dataset of checked float64 features and aligned int64 labels, not re-checked."""
+        dataset = object.__new__(cls)
+        dataset.features = features
+        dataset.labels = labels
+        dataset.source_rows = None
+        return dataset
 
 
 @dataclass

@@ -111,6 +111,13 @@ class TestDatasets:
         # an empty label vector has no value to truncate
         assert len(LabeledDataset(np.zeros((0, 2)), [])) == 0
 
+    def test_unsigned_labels_past_int64_are_refused_not_wrapped(self):
+        with pytest.raises(DomainError, match="labels must fit in int64"):
+            LabeledDataset(np.zeros((2, 2)), np.array([1, 2**63], dtype=np.uint64))
+        top = np.iinfo(np.int64).max
+        data = LabeledDataset(np.zeros((2, 2)), np.array([1, top], dtype=np.uint64))
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, top]
+
     def test_unlabeled_needs_rows(self):
         with pytest.raises(DomainError):
             UnlabeledDataset(np.zeros((0, 2)))

@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedcotrain.aggregation import PseudolabelBundle, PseudolabelSet
@@ -16,6 +18,7 @@ from fedcotrain.domain import (
     held_out_unlabeled,
 )
 from fedcotrain.learners import (
+    GNB_CHUNK_CELLS,
     LEARNER_KINDS,
     KNearestNeighborsClassifier,
     LearnerError,
@@ -261,6 +264,43 @@ class TestUpdateTrain:
         assert len(bundle) > 5 * len(train)
         assert evaluate(fed, test) > evaluate(local, test)
 
+    @pytest.mark.parametrize("entries, order", [
+        (((0, range(0, 200, 4)), (1, ()), (2, range(2, 200, 4))), "C"),
+        (((0, range(1, 200, 4)), (1, range(2, 200, 4)), (2, range(3, 200, 4))), "F"),
+        (((2, range(0, 200, 3)),), "C"),
+    ], ids=["empty-entry", "several-entries-fortran-local", "one-entry"])
+    def test_update_rows_equal_stacked_materialized_bundle(self, entries, order, monkeypatch):
+        rng = np.random.default_rng(29)
+        space = LabelSpace((0, 1, 2))
+        local = LabeledDataset(np.asarray(rng.normal(0, 1, (40, 3)), order=order),
+                               np.arange(40) % 3)
+        public = UnlabeledDataset(rng.normal(0, 2, (200, 3)))
+        bundle = PseudolabelBundle(owner=0, entries=tuple(
+            PseudolabelSet(c, tuple(idx)) for c, idx in entries))
+        pseudo = materialize_bundle(bundle, public)
+        stacked = LabeledDataset(np.vstack([local.features, pseudo.features]),
+                                 np.concatenate([local.labels, pseudo.labels]))
+        seen = []
+        fit = KNearestNeighborsClassifier._fit
+        monkeypatch.setattr(KNearestNeighborsClassifier, "_fit",
+                            lambda clf, X, y: seen.append((X, y)) or fit(clf, X, y))
+        update_train("knn", space, local, bundle, public, TrainConfig())
+        (X, y), = seen
+        # the GNB fit sums in X's own layout, so the layout must not change
+        assert X.flags.c_contiguous and stacked.features.flags.c_contiguous
+        assert X.tobytes() == stacked.features.tobytes()
+        assert y.dtype == stacked.labels.dtype and y.tobytes() == stacked.labels.tobytes()
+
+    def test_update_still_refuses_what_its_sources_refuse(self):
+        local = two_clusters(seed=23)
+        public = UnlabeledDataset(np.zeros((5, 2)))
+        bundle = PseudolabelBundle(owner=0, entries=(PseudolabelSet(0, (1, 7)),))
+        with pytest.raises(LearnerError,
+                           match="bundle index 7 outside public dataset of size 5"):
+            update_train("gnb", SPACE01, local, bundle, public, TrainConfig())
+        with pytest.raises(DomainError, match="non-finite"):
+            LabeledDataset(np.array([[0.0, np.nan]]), np.array([0]))
+
 
 class TestEvaluate:
     def test_perfect_and_constant(self):
@@ -404,6 +444,102 @@ class TestPinnedOutputs:
             probe = pin_data(n=300, d=d, seed=1000 + d, classes=ids)[0].features
             shas.append(array_sha(clf._scores(probe), clf.predict_batch(probe)))
         assert array_sha(*shas) == self.GNB_PINS[d]
+
+    def test_gnb_scores_and_predictions_across_row_chunks(self):
+        # 1e5 rows cross several prediction chunks, which the pins above
+        # never do; pinned before prediction was chunked.
+        clf, probe = many_row_gnb()
+        assert array_sha(clf._scores(probe)) == (
+            "cabe470556f5945845e5cc56a76389c3836e5cf006ed95e8c2e0404e8c4311bc")
+        assert array_sha(clf.predict_batch(probe)) == (
+            "10cc0951609ac3346c30bf99ca81e17b5e46a027f4c45ca4a38d6206d8e89cf3")
+
+
+def many_row_gnb():
+    """A GNB over 10 classes, the second with no training rows, and 1e5 x 2 probe rows."""
+    ids = tuple(range(2, 50, 5))
+    data, space = pin_data(n=2000, d=2, seed=71, classes=ids)
+    keep = data.labels != ids[1]
+    clf = train_local("gnb", space, LabeledDataset(data.features[keep], data.labels[keep]),
+                      TrainConfig())
+    return clf, pin_data(n=100_000, d=2, seed=1071, classes=ids)[0].features
+
+
+def test_gnb_prediction_scratch_stays_below_a_score_matrix():
+    # A (1e5, 10) score matrix alone is 8 MB; the output is 0.8 MB.
+    clf, probe = many_row_gnb()
+    clf.predict_batch(probe)
+    tracemalloc.start()
+    try:
+        clf.predict_batch(probe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def argmax_case(kind, seed, diverged=False):
+    """A classifier over (0, 4, 6, 9) whose scores tie, and probe rows that hit the ties.
+
+    Categories 4 and 6 train on the same rows, so their GNB parameters and
+    their knn neighbours tie exactly; category 0 gets no rows, so its GNB
+    scores are -inf and a NaN row's first NaN is not column 0.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, (12, 2)).astype(np.float64)
+    X = np.vstack([base, base, rng.integers(-2, 3, (8, 2))])
+    y = np.array([4] * 12 + [6] * 12 + [9] * 8)
+    clf = train_local(kind, LabelSpace((0, 4, 6, 9)), LabeledDataset(X, y),
+                      TrainConfig(seed=seed, epochs=5, k=2))
+    if diverged and kind in ("logreg", "mlp"):
+        weights = clf.weights if kind == "logreg" else clf.w2
+        weights[tuple(rng.integers(0, weights.shape))] = np.nan
+    return clf, rng
+
+
+def with_specials(rng, X, share):
+    """X with a share of its cells set to NaN, +inf or -inf."""
+    X = X.copy()
+    mask = rng.random(X.shape) < share
+    X[mask] = rng.choice([np.nan, np.inf, -np.inf], mask.sum())
+    return X
+
+
+def argmax_reference(clf, X):
+    return clf.classes[np.argmax(clf._scores(X), axis=1)]
+
+
+@pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 2, 9, 40]),
+       specials=st.booleans(), diverged=st.booleans())
+@example(seed=0, n=0, specials=False, diverged=False)
+@example(seed=1, n=1, specials=True, diverged=True)
+@settings(max_examples=40, deadline=None)
+def test_property_prediction_is_the_first_argmax_of_the_scores(kind, seed, n, specials,
+                                                               diverged):
+    clf, rng = argmax_case(kind, seed, diverged)
+    # grid rows land on the training rows, where scores tie
+    X = rng.integers(-3, 4, (n, 2)).astype(np.float64)
+    if specials:
+        X = with_specials(rng, X, 0.3)
+    # only non-finite rows or weights meet a NaN
+    guard = np.errstate(invalid="ignore") if specials or diverged else contextlib.nullcontext()
+    with guard:
+        got, want = clf.predict_batch(X), argmax_reference(clf, X)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_gnb_prediction_across_a_chunk_edge_is_the_first_argmax(extra):
+    clf, rng = argmax_case("gnb", 13)
+    chunk = GNB_CHUNK_CELLS // 2
+    X = with_specials(rng, rng.integers(-3, 4, (chunk + extra, 2)).astype(np.float64), 0.01)
+    # NaN rows on both sides of the edge, so both chunks settle some
+    X[[0, chunk - 2, -1], 1] = np.nan
+    got, want = clf.predict_batch(X), argmax_reference(clf, X)
+    assert got.tobytes() == want.tobytes()
+    assert (want[np.isnan(X).any(axis=1)] == 4).all()
 
 
 def test_row_sums_match_numpy_row_sums_at_every_width():
